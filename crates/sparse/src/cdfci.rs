@@ -7,7 +7,11 @@
 //! `b = H·c` on the set of determinants connected to `supp(c)`, so that
 //!
 //! * the **pick** — the coordinate with the largest gradient magnitude
-//!   `|b_i − ρ·c_i|` — is a scan over the store, no Hamiltonian work;
+//!   `|b_i − ρ·c_i|` among the connections the last update touched — is
+//!   a by-product of that update, O(connections) and no Hamiltonian
+//!   work; a full-store scan replaces it at the start of every sweep
+//!   and whenever it falls below the gradient floor, and only a full
+//!   scan (or the per-sweep energy change) can declare convergence;
 //! * the **step** — the exact 1-D minimizer of ρ along `e_i` — is a
 //!   closed-form quadratic solve ([`crate::kernel::cdfci_step`]) using
 //!   the tracked scalars `S = c·c` and `A = c·b`;
@@ -20,15 +24,16 @@
 //! determinants are counted as `dropped` — the documented bounded-memory
 //! approximation that lets a formal dimension ≥10⁸ run in megabytes.
 //!
-//! Thread-count determinism: the gradient scan merges per-range winners
-//! with a partition-invariant tie-break, element evaluation writes
+//! Thread-count determinism: the touched pick is serial, the full
+//! gradient scan merges per-range winners with a partition-invariant
+//! tie-break (lowest slot), element evaluation writes
 //! disjoint ranges, the (S, A) drift-control recomputation reduces over
 //! a *fixed* chunk grid, and all store mutation is single-threaded in
 //! enumeration order.
 
 use crate::connect::{reference_det, ConnGen, Exc};
 use crate::kernel;
-use crate::store::CoefMap;
+use crate::store::{CoefMap, Det};
 use crate::{
     eval_elements, parallel_scan_gradient, recompute_norms, tracer_for, SparseOptions,
     SparseResult, SweepStat,
@@ -37,7 +42,8 @@ use fci_core::detspace::DetSpace;
 use fci_core::hamiltonian::Hamiltonian;
 use fci_obs::Category;
 
-/// Coordinate updates per sweep (bookkeeping/convergence granularity).
+/// Coordinate updates per sweep (bookkeeping/convergence granularity);
+/// each sweep's first pick is a full-store gradient scan.
 const SWEEP: usize = 256;
 /// Recompute (S, A) exactly every this many sweeps — drift control for
 /// the incrementally tracked scalars.
@@ -62,7 +68,16 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
     cg.excitations_into(refdet, &mut excs);
     hbuf.resize(excs.len(), 0.0);
     eval_elements(threads, ham, refdet, &excs, &mut hbuf);
-    apply_column(&mut map, refdet, &excs, &hbuf, 1.0, opts, &mut dropped);
+    apply_column(
+        &mut map,
+        refdet,
+        &excs,
+        &hbuf,
+        1.0,
+        d_ref,
+        opts,
+        &mut dropped,
+    );
     let mut s_norm = 1.0f64;
     let mut a_dot = d_ref;
 
@@ -86,16 +101,28 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
     let mut e_prev_sweep = f64::INFINITY;
     let mut sweep_t0 = tracer.now_us();
 
+    // The next coordinate as picked from the last column update; `None`
+    // forces a full-store scan (first update of every sweep).
+    let mut touched: Option<(Det, f64)> = None;
+
     while updates < opts.max_updates {
-        let e_elec = a_dot / s_norm;
-        let (slot, grad) = {
-            let (flags, _keys, vals) = map.slots();
-            parallel_scan_gradient(threads, flags, vals, e_elec)
+        let pick = touched
+            .take()
+            .filter(|&(_, g)| g >= grad_floor)
+            .and_then(|(d, _)| map.find(d));
+        let from_scan = pick.is_none();
+        let slot = match pick {
+            Some(slot) => slot,
+            None => {
+                let (flags, _keys, vals) = map.slots();
+                let (slot, grad) = parallel_scan_gradient(threads, flags, vals, a_dot / s_norm);
+                if slot == usize::MAX || grad < grad_floor {
+                    converged = true;
+                    break;
+                }
+                slot
+            }
         };
-        if slot == usize::MAX || grad < grad_floor {
-            converged = true;
-            break;
-        }
         let (det_i, u, b_i) = {
             let (_flags, keys, vals) = map.slots();
             (keys[slot], vals[slot][0], vals[slot][1])
@@ -103,9 +130,13 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
         let d_i = ham.diagonal_element(det_i.a, det_i.b);
         let t = kernel::cdfci_step(u, b_i, d_i, s_norm, a_dot);
         if t == 0.0 {
-            // The best coordinate admits no improving move: stationary.
-            converged = true;
-            break;
+            if from_scan {
+                // The best coordinate of the whole store admits no
+                // improving move: stationary.
+                converged = true;
+                break;
+            }
+            continue; // `touched` is empty: rescan before concluding.
         }
         s_norm += t * (2.0 * u + t);
         a_dot += t * (2.0 * b_i + t * d_i);
@@ -117,10 +148,20 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
         cg.excitations_into(det_i, &mut excs);
         hbuf.resize(excs.len(), 0.0);
         eval_elements(threads, ham, det_i, &excs, &mut hbuf);
-        apply_column(&mut map, det_i, &excs, &hbuf, t, opts, &mut dropped);
+        touched = apply_column(
+            &mut map,
+            det_i,
+            &excs,
+            &hbuf,
+            t,
+            a_dot / s_norm,
+            opts,
+            &mut dropped,
+        );
 
         updates += 1;
         if updates.is_multiple_of(SWEEP) {
+            touched = None;
             let sweep_no = updates / SWEEP;
             if sweep_no.is_multiple_of(NORM_REFRESH_SWEEPS) {
                 let (flags, _keys, vals) = map.slots();
@@ -187,34 +228,50 @@ pub fn solve_cdfci(space: &DetSpace, ham: &Hamiltonian, opts: &SparseOptions) ->
 }
 
 /// Apply the rank-one column update `b += t·H·e_i` over the connections
-/// of `det_i` (already enumerated into `excs` with elements in `hbuf`).
+/// of `det_i` (already enumerated into `excs` with elements in `hbuf`)
+/// and return the next coordinate picked from it: the stored connection
+/// with the largest `|b_j − e·c_j|` at the post-step energy `e` (first
+/// in enumeration order on ties), as its determinant — a grow during the
+/// column moves slots, so the caller finds the slot again. `None` when
+/// no connection is stored.
+///
 /// Inserts on first contact while the store is under `max_store`;
 /// afterwards only existing entries update and the rest are counted as
 /// dropped. Sequential, in enumeration order — the store layout stays a
 /// pure function of the update history.
+#[allow(clippy::too_many_arguments)]
 fn apply_column(
     map: &mut CoefMap,
-    det_i: crate::store::Det,
+    det_i: Det,
     excs: &[Exc],
     hbuf: &[f64],
     t: f64,
+    e: f64,
     opts: &SparseOptions,
     dropped: &mut usize,
-) {
-    for (&e, &h) in excs.iter().zip(hbuf) {
+) -> Option<(Det, f64)> {
+    let mut best: Option<(Det, f64)> = None;
+    for (&x, &h) in excs.iter().zip(hbuf) {
         if h.abs() <= opts.h_cut {
             continue;
         }
-        let j = e.apply(det_i);
-        if map.len() < opts.max_store {
-            let sj = map.slot_or_insert(j);
-            map.vals_mut()[sj][1] += t * h;
+        let j = x.apply(det_i);
+        let sj = if map.len() < opts.max_store {
+            map.slot_or_insert(j)
         } else if let Some(sj) = map.find(j) {
-            map.vals_mut()[sj][1] += t * h;
+            sj
         } else {
             *dropped += 1;
+            continue;
+        };
+        let v = &mut map.vals_mut()[sj];
+        v[1] += t * h;
+        let g = (v[1] - e * v[0]).abs();
+        if best.is_none_or(|(_, bg)| g > bg) {
+            best = Some((j, g));
         }
     }
+    best
 }
 
 #[cfg(test)]
@@ -222,33 +279,79 @@ mod tests {
     use super::*;
     use fci_core::hamiltonian::random_hamiltonian;
     use fci_core::slater;
-    use fci_linalg::eigh;
+    use fci_ints::EriTensor;
+    use fci_linalg::{eigh, Matrix};
+    use fci_scf::MoIntegrals;
 
     fn dense_ground(space: &DetSpace, ham: &Hamiltonian) -> f64 {
         let h = slater::dense_h(space, ham);
         eigh(&h).eigenvalues[0] + ham.e_core
     }
 
+    /// Open chain with seeded random hoppings, site energies and on-site
+    /// repulsions: a determinant connects only to its few hopping
+    /// neighbours, so the last column touches a small part of the store.
+    fn random_chain(n: usize, seed: u64) -> Hamiltonian {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut h = Matrix::zeros(n, n);
+        let mut eri = EriTensor::zeros(n);
+        for i in 0..n {
+            h[(i, i)] = unit() - 0.5;
+            eri.set(i, i, i, i, 2.0 + 4.0 * unit());
+            if i + 1 < n {
+                let t = -0.5 - unit();
+                h[(i, i + 1)] = t;
+                h[(i + 1, i)] = t;
+            }
+        }
+        Hamiltonian::new(&MoIntegrals {
+            n_orb: n,
+            h,
+            eri,
+            e_core: 0.0,
+            orb_sym: vec![0; n],
+            n_irrep: 1,
+        })
+    }
+
     #[test]
     fn matches_dense_ground_state() {
-        let ham = random_hamiltonian(6, 5);
-        let space = DetSpace::c1(6, 3, 2);
-        let opts = SparseOptions {
-            tol: 1e-12,
-            max_updates: 200_000,
-            ..SparseOptions::default()
-        };
-        let res = solve_cdfci(&space, &ham, &opts);
-        let exact = dense_ground(&space, &ham);
-        assert!(res.converged);
-        assert!(
-            (res.energy() - exact).abs() < 1e-8,
-            "cdfci {} vs dense {}",
-            res.energy(),
-            exact
-        );
-        assert!(res.support <= space.dim());
-        assert!(!res.history.is_empty());
+        // Several seeds and sectors, Nα≠Nβ included, on dense and on
+        // chain connectivity: a touched-column pick that stalled could
+        // end a sweep with no energy change and stop short of the minimum.
+        for (n, na, nb, seed) in [
+            (6, 3, 2, 5u64),
+            (6, 2, 2, 2),
+            (7, 3, 1, 3),
+            (5, 3, 2, 4),
+            (6, 4, 1, 1),
+            (5, 2, 2, 6),
+        ] {
+            for ham in [random_hamiltonian(n, seed), random_chain(n, seed)] {
+                let space = DetSpace::c1(n, na, nb);
+                let opts = SparseOptions {
+                    tol: 1e-12,
+                    max_updates: 200_000,
+                    ..SparseOptions::default()
+                };
+                let res = solve_cdfci(&space, &ham, &opts);
+                let exact = dense_ground(&space, &ham);
+                assert!(res.converged, "n={n} {na}a{nb}b seed {seed}");
+                assert!(
+                    (res.energy() - exact).abs() < 1e-8,
+                    "n={n} {na}a{nb}b seed {seed}: cdfci {} vs dense {exact}",
+                    res.energy()
+                );
+                assert!(res.support <= space.dim());
+                assert!(!res.history.is_empty());
+            }
+        }
     }
 
     #[test]
@@ -272,24 +375,46 @@ mod tests {
 
     #[test]
     fn thread_count_is_bitwise_invariant() {
-        let ham = random_hamiltonian(6, 3);
-        let space = DetSpace::c1(6, 3, 3);
-        let run = |threads: usize| {
-            let opts = SparseOptions {
-                threads,
-                tol: 1e-11,
-                max_updates: 30_000,
-                ..SparseOptions::default()
+        // The 14-orbital 4α4β case has 2,220 excitations per pivot, past
+        // the threaded branch of `eval_elements`; its store bound makes
+        // the dropped-update path run as well.
+        let cases = [
+            (
+                random_hamiltonian(6, 3),
+                DetSpace::c1(6, 3, 3),
+                2_000_000,
+                30_000,
+            ),
+            (
+                random_hamiltonian(14, 8),
+                DetSpace::c1(14, 4, 4),
+                20_000,
+                300,
+            ),
+        ];
+        for (ham, space, max_store, max_updates) in &cases {
+            let run = |threads: usize| {
+                let opts = SparseOptions {
+                    threads,
+                    tol: 1e-11,
+                    max_store: *max_store,
+                    max_updates: *max_updates,
+                    ..SparseOptions::default()
+                };
+                solve_cdfci(space, ham, &opts)
             };
-            solve_cdfci(&space, &ham, &opts)
-        };
-        let r1 = run(1);
-        let r2 = run(2);
-        let r4 = run(4);
-        assert_eq!(r1.energy().to_bits(), r2.energy().to_bits());
-        assert_eq!(r1.energy().to_bits(), r4.energy().to_bits());
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.iterations, r4.iterations);
-        assert_eq!(r1.support, r4.support);
+            let r1 = run(1);
+            for threads in [2, 4] {
+                let rt = run(threads);
+                assert_eq!(r1.energy().to_bits(), rt.energy().to_bits());
+                assert_eq!(r1.iterations, rt.iterations);
+                assert_eq!(r1.support, rt.support);
+                assert_eq!(r1.dropped, rt.dropped);
+            }
+        }
+        let (ham, space, ..) = &cases[1];
+        let mut excs = Vec::new();
+        ConnGen::for_space(space).excitations_into(reference_det(space, ham), &mut excs);
+        assert!(excs.len() >= 1024, "{} excitations", excs.len());
     }
 }

@@ -21,8 +21,10 @@
 //!   gradient scan, coordinate line search), written so every output is
 //!   a pure function of the inputs regardless of thread partition;
 //! * [`cdfci`] — coordinate-descent FCI: each step updates the
-//!   largest-gradient coefficient and only its connections, tracking the
-//!   energy estimate incrementally in O(connections) per update;
+//!   largest-gradient coefficient among the previous step's connections
+//!   (the whole store is rescanned once per sweep) and only its own
+//!   connections, tracking the energy estimate incrementally in
+//!   O(connections) per update;
 //! * [`selected`] — selected CI: grow the variational determinant set by
 //!   importance screening (`|H_ji·c_i| > ε`), diagonalize in the selected
 //!   space with Davidson on a CSR Hamiltonian (subspace eigenproblems go

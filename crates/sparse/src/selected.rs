@@ -215,15 +215,18 @@ fn build_csr(threads: usize, space: &DetSpace, ham: &Hamiltonian, v: &DetSet, h_
                     dhead[r - lo] = ham.diagonal_element(dr.a, dr.b);
                     cg.excitations_into(dr, &mut excs);
                     let mut cnt = 0usize;
+                    // Screen on the element first: most excitations of a
+                    // lattice Hamiltonian vanish, and the rank lookup is
+                    // a binary search over V.
                     for &e in &excs {
-                        let j = e.apply(dr);
-                        if let Some(c) = v.rank(j) {
-                            let h = exc_element(ham, dr, e);
-                            if h.abs() > h_cut {
-                                cols.push(c as u32);
-                                vals.push(h);
-                                cnt += 1;
-                            }
+                        let h = exc_element(ham, dr, e);
+                        if h.abs() <= h_cut {
+                            continue;
+                        }
+                        if let Some(c) = v.rank(e.apply(dr)) {
+                            cols.push(c as u32);
+                            vals.push(h);
+                            cnt += 1;
                         }
                     }
                     rlen.push(cnt);
@@ -517,12 +520,14 @@ fn select_candidates(
                     let dr = v.det(r);
                     cg.excitations_into(dr, &mut excs);
                     for &e in &excs {
-                        let j = e.apply(dr);
-                        if v.rank(j).is_some() {
-                            continue;
-                        }
+                        // Element screen before the membership search
+                        // (both are pure predicates; the order is free).
                         let h = exc_element(ham, dr, e);
                         if h.abs() <= h_cut || h.abs() * cmax <= eps {
+                            continue;
+                        }
+                        let j = e.apply(dr);
+                        if v.rank(j).is_some() {
                             continue;
                         }
                         let mut w = 0.0f64;
@@ -669,6 +674,60 @@ mod tests {
         let res = solve_selected(&space, &ham, &opts);
         assert!(res.support <= 50);
         assert!(res.history.len() >= 2, "should have grown at least once");
+    }
+
+    #[test]
+    fn csr_rows_match_dense_oracle() {
+        // Partial V (about half the space, reference included) and an
+        // h_cut that removes real entries: every CSR row must be the
+        // dense row of `slater::dense_h` restricted to V, screened at
+        // h_cut — same columns, bitwise-equal values.
+        let ham = random_hamiltonian(6, 17);
+        let space = DetSpace::c1(6, 3, 2);
+        let h_cut = 2e-3;
+        let nb = space.beta.len();
+        let dense = slater::dense_h(&space, &ham);
+        let index = |d: Det| {
+            let ia = space.alpha.index_of(d.a).expect("alpha string");
+            let ib = space.beta.index_of(d.b).expect("beta string");
+            ib + ia * nb
+        };
+        let mut dets = vec![reference_det(&space, &ham)];
+        for ia in 0..space.alpha.len() {
+            for ib in 0..nb {
+                if (ia * 7 + ib * 3) % 5 < 3 {
+                    dets.push(Det::new(space.alpha.mask(ia), space.beta.mask(ib)));
+                }
+            }
+        }
+        let v = DetSet::from_vec(dets);
+        assert!(v.len() < space.dim());
+        let mut screened = 0usize;
+        for threads in [1usize, 3] {
+            let csr = build_csr(threads, &space, &ham, &v, h_cut);
+            for r in 0..v.len() {
+                let i = index(v.det(r));
+                assert_eq!(csr.diag[r].to_bits(), dense[(i, i)].to_bits());
+                let mut expect = Vec::new();
+                for c in 0..v.len() {
+                    let h = dense[(i, index(v.det(c)))];
+                    if c != r && h.abs() > h_cut {
+                        expect.push((c as u32, h.to_bits()));
+                    } else if c != r && h != 0.0 {
+                        screened += 1;
+                    }
+                }
+                // Rows hold columns in connection-enumeration order.
+                let lo = csr.rowptr[r];
+                let hi = csr.rowptr[r + 1];
+                let mut got: Vec<(u32, u64)> = (lo..hi)
+                    .map(|t| (csr.cols[t], csr.vals[t].to_bits()))
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(got, expect, "row {r}");
+            }
+        }
+        assert!(screened > 0, "h_cut must remove some nonzero elements");
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! path) so the before/after speedup is measured, not remembered.
 
 use fci_linalg::{
-    dgemm_naive, dgemm_path, dgemm_prepacked, dgemm_with_threads, gemm_threads, GemmPath, Matrix,
-    PackedA, Trans,
+    dgemm_naive, dgemm_path, dgemm_prepacked, dgemm_with_threads, GemmPath, Matrix, PackedA, Trans,
 };
 use fci_obs::JsonValue;
 use std::hint::black_box;
@@ -164,7 +163,7 @@ fn quick_smoke() -> i32 {
     let a = rand_mat(n, n, 1);
     let b = rand_mat(n, n, 2);
     let mut c = Matrix::zeros(n, n);
-    let threads = gemm_threads();
+    let threads = fci_linalg::par::width();
     let t_seed = time_min(3, || seed::dgemm(&a, &b, &mut c));
     let t_blocked = time_min(3, || {
         dgemm_path(
@@ -281,7 +280,7 @@ fn autotune() {
 }
 
 fn full_sweep() {
-    let threads = gemm_threads();
+    let threads = fci_linalg::par::width();
     let sizes = [32usize, 64, 96, 128, 192, 256, 384, 512, 768, 1024];
     println!("gemm sweep (threads = {threads}):");
     println!(

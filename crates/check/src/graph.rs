@@ -42,9 +42,14 @@ use crate::lint::FileCtx;
 use fci_obs::JsonValue;
 
 /// Hot-path roots the transitive analyses start from: the σ-task body
-/// and the GEMM dispatch/macro/micro kernels.
-pub const DEFAULT_ROOTS: [&str; 11] = [
+/// and its commit, the worker-pool dispatch, and the GEMM
+/// dispatch/macro/micro kernels.
+pub const DEFAULT_ROOTS: [&str; 13] = [
     "process_task_into",
+    "commit_task",
+    // The worker pool's dispatch (crates/linalg/src/par.rs): every σ
+    // phase, GEMM and vector operation goes through it.
+    "run_chunks",
     "dgemm",
     "packed_dgemm",
     "small_dgemm",

@@ -102,6 +102,9 @@ impl LintConfig {
             zero_alloc_paths: vec![
                 "crates/linalg/src/gemm.rs".into(),
                 "crates/linalg/src/arena.rs".into(),
+                // The worker pool dispatches every parallel loop of the
+                // dense stack; a dispatch must not touch the heap.
+                "crates/linalg/src/par.rs".into(),
                 // The eigensolver kernels run inside the Davidson loop:
                 // after warm-up they must work out of the arena too.
                 "crates/linalg/src/tridiag.rs".into(),

@@ -191,11 +191,13 @@ impl DetSpace {
     /// sector).
     pub fn diagonal(&self, ham: &Hamiltonian, nproc: usize) -> DistMatrix {
         let d = self.zeros_ci(nproc);
-        d.map_inplace(|ib, ia, _| {
-            if self.in_sector(ib, ia) {
-                ham.diagonal_element(self.alpha.mask(ia), self.beta.mask(ib))
-            } else {
-                f64::INFINITY
+        d.update_cols(|ia, col| {
+            for (ib, v) in col.iter_mut().enumerate() {
+                *v = if self.in_sector(ib, ia) {
+                    ham.diagonal_element(self.alpha.mask(ia), self.beta.mask(ib))
+                } else {
+                    f64::INFINITY
+                };
             }
         });
         d
@@ -203,7 +205,25 @@ impl DetSpace {
 
     /// Zero every out-of-sector coefficient of a CI vector.
     pub fn project_sector(&self, c: &DistMatrix) {
-        c.map_inplace(|ib, ia, v| if self.in_sector(ib, ia) { v } else { 0.0 });
+        c.update_cols(|ia, col| {
+            // β strings are stored in irrep blocks: the symmetry-allowed
+            // rows of column `ia` are one contiguous block.
+            let g = self.alpha.irrep_of_index(ia) ^ self.target_irrep;
+            if usize::from(g) >= self.beta.n_irrep() {
+                col.fill(0.0);
+                return;
+            }
+            let rows = self.beta.block_range(g);
+            col[..rows.start].fill(0.0);
+            col[rows.end..].fill(0.0);
+            if self.excitation.is_some() {
+                for ib in rows {
+                    if !self.in_sector(ib, ia) {
+                        col[ib] = 0.0;
+                    }
+                }
+            }
+        });
     }
 
     /// Unit guess vector on the lowest-diagonal in-sector determinant.

@@ -134,21 +134,16 @@ impl Preconditioner {
     /// `x = (H₀ − E)⁻¹ v`. Out-of-sector entries (diag = ∞) map to zero.
     pub fn apply(&self, v: &DistMatrix, e: f64) -> DistMatrix {
         let out = clone_dist(v);
-        {
-            let d = self.diag.to_dense();
-            let mut idx = 0;
-            out.map_inplace(|_, _, val| {
-                let den = d[idx] - e;
-                idx += 1;
-                if !den.is_finite() {
-                    0.0
-                } else if den.abs() < 1e-8 {
-                    val / (1e-8 * den.signum().clamp(-1.0, 1.0))
-                } else {
-                    val / den
-                }
-            });
-        }
+        out.zip_map(&self.diag, |val, d| {
+            let den = d - e;
+            if !den.is_finite() {
+                0.0
+            } else if den.abs() < 1e-8 {
+                val / (1e-8 * den.signum().clamp(-1.0, 1.0))
+            } else {
+                val / den
+            }
+        });
         // Exact model-space block: solve (H_MM − E + δ) x_M = v_M. The δ
         // regularization matters: near convergence E approaches the lowest
         // eigenvalue of H_MM, the unshifted solve amplifies by ~1/gap and
@@ -207,16 +202,16 @@ impl Preconditioner {
     }
 }
 
-/// Emit one solver-iteration telemetry point (energy, residual) through
-/// the tracer attached to the context's DDI world, if any.
-fn trace_iteration(ctx: &SigmaCtx, iter: usize, e: f64, res: f64) {
+/// Emit one solver-iteration telemetry point (energy, residual, plus up
+/// to three method-specific diagnostics in `extra`) through the tracer
+/// attached to the context's DDI world, if any.
+fn trace_iteration(ctx: &SigmaCtx, iter: usize, e: f64, res: f64, extra: &[(&str, f64)]) {
     let t = ctx.ddi.tracer();
-    t.instant(
-        None,
-        "diag_iter",
-        Category::Other,
-        &[("iter", iter as f64), ("energy", e), ("residual", res)],
-    );
+    let mut args = [("", 0.0); 6];
+    args[..3].copy_from_slice(&[("iter", iter as f64), ("energy", e), ("residual", res)]);
+    let nargs = 3 + extra.len().min(3);
+    args[3..nargs].copy_from_slice(&extra[..nargs - 3]);
+    t.instant(None, "diag_iter", Category::Other, &args[..nargs]);
     if let Some(m) = t.metrics() {
         m.counter_incr("davidson.iters", &[]);
         m.gauge_set("davidson.residual", &[], res);
@@ -363,7 +358,7 @@ fn davidson(
         let res = r.norm();
         e_hist.push(theta);
         r_hist.push(res);
-        trace_iteration(ctx, iterations, theta, res);
+        trace_iteration(ctx, iterations, theta, res, &[]);
         best_c = clone_dist(&c);
         best_e = theta;
         if res < opts.tol {
@@ -434,7 +429,7 @@ fn two_vector(
         let res = r.norm();
         e_hist.push(e);
         r_hist.push(res);
-        trace_iteration(ctx, iterations, e, res);
+        trace_iteration(ctx, iterations, e, res, &[]);
         if res < opts.tol {
             converged = true;
             break;
@@ -532,8 +527,8 @@ fn single_vector(
         let res = r.norm();
         e_hist.push(e);
         r_hist.push(res);
-        trace_iteration(ctx, iterations, e, res);
         if res < opts.tol {
+            trace_iteration(ctx, iterations, e, res, &[]);
             converged = true;
             break;
         }
@@ -541,6 +536,7 @@ fn single_vector(
         let t = olsen_correction(pre, &c, &r, e);
         let tau = t.norm();
         if tau < 1e-14 {
+            trace_iteration(ctx, iterations, e, res, &[("tau", tau)]);
             break;
         }
         let b = sigma.dot(&t); // ⟨C|H|t⟩ (σ = HC)
@@ -594,9 +590,13 @@ fn single_vector(
             }
         };
 
-        if std::env::var("FCIX_DIAG_TRACE").is_ok() {
-            eprintln!("    it={iterations} res={res:.3e} lambda={lambda:+.4} tau={tau:.3e} trust={trust:.2}");
-        }
+        trace_iteration(
+            ctx,
+            iterations,
+            e,
+            res,
+            &[("lambda", lambda), ("tau", tau), ("trust", trust)],
+        );
         // C ← S (C + λ t)
         c.axpy(lambda, &t);
         let nrm = c.norm();
@@ -672,6 +672,54 @@ mod tests {
         let (r, exact) = run(DiagMethod::AutoAdjust, 5, 2, 2, 2, 3);
         assert!(r.converged, "not converged after {} its", r.iterations);
         assert!((r.e_elec - exact).abs() < 1e-8);
+    }
+
+    #[test]
+    fn auto_adjust_diagnostics_ride_on_the_iteration_trace() {
+        // λ, τ and the trust factor of every non-final iteration are on
+        // that iteration's `diag_iter` instant; the converged iteration
+        // carries energy and residual only.
+        let ham = random_hamiltonian(5, 3);
+        let space = DetSpace::c1(5, 2, 2);
+        let ddi = Ddi::new(2, Backend::Serial);
+        let tracer = fci_obs::Tracer::in_memory();
+        ddi.attach_tracer(tracer.clone());
+        let model = MachineModel::cray_x1();
+        let ctx = SigmaCtx {
+            space: &space,
+            ham: &ham,
+            ddi: &ddi,
+            model: &model,
+            pool: PoolParams::default(),
+        };
+        let r = diagonalize(
+            &ctx,
+            SigmaMethod::Dgemm,
+            DiagMethod::AutoAdjust,
+            &DiagOptions::default(),
+        );
+        assert!(r.converged);
+        let iters: Vec<_> = tracer
+            .events()
+            .unwrap()
+            .into_iter()
+            .filter(|e| e.name == "diag_iter")
+            .collect();
+        assert_eq!(iters.len(), r.iterations);
+        let (last, steps) = iters.split_last().unwrap();
+        assert!(!steps.is_empty());
+        for (k, ev) in steps.iter().enumerate() {
+            assert_eq!(ev.arg("iter"), Some((k + 1) as f64));
+            assert_eq!(ev.arg("residual"), Some(r.residual_history[k]));
+            let lambda = ev.arg("lambda").expect("lambda on a stepping iteration");
+            let tau = ev.arg("tau").expect("tau on a stepping iteration");
+            let trust = ev.arg("trust").expect("trust on a stepping iteration");
+            assert!(lambda.is_finite() && lambda > 0.0, "lambda {lambda}");
+            assert!(tau.is_finite() && tau > 0.0, "tau {tau}");
+            assert!((0.05..=1.0).contains(&trust), "trust {trust}");
+        }
+        assert_eq!(last.arg("lambda"), None);
+        assert!(last.arg("residual").unwrap() < DiagOptions::default().tol);
     }
 
     #[test]

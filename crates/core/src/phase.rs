@@ -17,14 +17,49 @@ pub fn run_phase<F>(ddi: &Ddi, model: &MachineModel, name: &str, f: F) -> RunRep
 where
     F: Fn(usize, &mut CommStats, &mut Clock) + Sync,
 {
+    phase(ddi, model, name, None, f)
+}
+
+/// [`run_phase`] for an **owner-computes** phase — every rank reads
+/// shared inputs and writes only what it owns — run through
+/// [`Ddi::run_owner_computes`], so under the serial backend the ranks
+/// spread over the worker pool. `work` estimates the phase's flops (the
+/// pool's inline gate).
+pub fn run_owner_phase<F>(
+    ddi: &Ddi,
+    model: &MachineModel,
+    name: &str,
+    work: usize,
+    f: F,
+) -> RunReport
+where
+    F: Fn(usize, &mut CommStats, &mut Clock) + Sync,
+{
+    phase(ddi, model, name, Some(work), f)
+}
+
+fn phase<F>(
+    ddi: &Ddi,
+    model: &MachineModel,
+    name: &str,
+    owner_work: Option<usize>,
+    f: F,
+) -> RunReport
+where
+    F: Fn(usize, &mut CommStats, &mut Clock) + Sync,
+{
     let tracer = ddi.tracer();
     let host_start = tracer.now_us();
     let clocks = Mutex::new(vec![Clock::default(); ddi.nproc()]);
-    let stats = ddi.run(|rank, st| {
+    let rank_body = |rank: usize, st: &mut CommStats| {
         let mut ck = Clock::default();
         f(rank, st, &mut ck);
         clocks.lock().unwrap()[rank] = ck;
-    });
+    };
+    let stats = match owner_work {
+        Some(work) => ddi.run_owner_computes(work, rank_body),
+        None => ddi.run(rank_body),
+    };
     let mut clocks = clocks.into_inner().unwrap();
     for (ck, st) in clocks.iter_mut().zip(&stats) {
         charge_comm(ck, st, model);

@@ -19,67 +19,64 @@
 //! ### Scheduling simulation
 //!
 //! Under the threads backend every worker claims tasks from the shared
-//! counter for real. Under the (default, deterministic) serial backend the
-//! ranks execute one after another, so a naive claim loop would let rank 0
-//! drain the whole pool; instead the routine simulates the self-scheduling
-//! exactly: the rank whose simulated clock is lowest claims the next task
-//! — greedy list scheduling, which is what `SHMEM_SWAP` self-scheduling
-//! produces on the real machine.
+//! counter for real. Under the (default, deterministic) serial backend a
+//! naive claim loop would let rank 0 drain the whole pool; instead the
+//! routine simulates the self-scheduling exactly: the rank whose
+//! simulated clock is lowest claims the next task — greedy list
+//! scheduling, which is what `SHMEM_SWAP` self-scheduling produces on the
+//! real machine. A task's numbers do not depend on the rank that claims
+//! it, so the serial backend splits each task in two: `compute_task`
+//! (gather, D build, DGEMM, scatter into a staging slot) runs for a window
+//! of tasks at once on the host worker pool, and `commit_task` then
+//! charges and accumulates them on the caller, in claim order.
 
 use super::SigmaCtx;
 use crate::hamiltonian::Hamiltonian;
 use crate::phase::charge_comm;
 use crate::taskpool::TaskPool;
 use fci_ddi::{Backend, CommStats, Corruption, DistMatrix, FaultPlan};
-use fci_linalg::{
-    dgemm, dgemm_prepacked, gemm_prefers_packed, gemm_threads, Matrix, PackedA, Trans,
-};
+use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, par, Matrix, PackedA, Trans};
 use fci_obs::Category;
 use fci_xsim::{Clock, MachineModel, RunReport};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Receives one α-column contribution of a task: `(column, values, stats)`.
 /// The default sink remote-accumulates into σ; the `fci-check` schedule
 /// explorer substitutes a collecting sink to study accumulation order.
 pub type ColumnSink<'s> = dyn FnMut(usize, &[f64], &mut CommStats) + 's;
 
-/// Per-rank working storage for the mixed-spin routine (the paper's
+/// Per-thread working storage for computing one Kα task (the paper's
 /// "working area to store the gathered C vector coefficients and the
 /// computed update coefficients", §3.1).
 struct WorkBufs {
-    colbuf: Vec<f64>,
     cg: Vec<f64>,
+    /// One task's staged column updates (`nq × nbstr`), for the paths
+    /// that compute and commit a task back to back.
     u: Vec<f64>,
     /// Column indices of the current family (input to the aggregated
-    /// [`DistMatrix::get_cols`]); capacity reserved once, reused forever.
+    /// column gather); capacity reserved once, reused forever.
     cols: Vec<usize>,
     d: Matrix,
     e_mat: Matrix,
     vk: Matrix,
-    /// Persistent packed `V_K` operands, one per Kα, keyed by the
-    /// Hamiltonian identity. Lives as long as the buffers do, so serial
-    /// steady-state Davidson iterations never rebuild or repack an
-    /// integral block (asserted by `vk_operands_packed_once_per_solve`).
-    pack: PackedCache,
 }
 
 impl WorkBufs {
     fn new(nbstr: usize, nq: usize, n: usize, nkb: usize) -> Self {
         let nd = nq * n;
         WorkBufs {
-            colbuf: vec![0.0; nbstr],
             cg: vec![0.0; nbstr * nq],
             u: vec![0.0; nbstr * nq],
             cols: Vec::with_capacity(nq),
             d: Matrix::zeros(nd, nkb),
             e_mat: Matrix::zeros(nd, nkb),
             vk: Matrix::zeros(nd, nd),
-            pack: PackedCache::empty(),
         }
     }
 }
 
-/// Upper bound in bytes on one worker's packed-`V_K` cache:
+/// Upper bound in bytes on one Hamiltonian's packed-`V_K` cache:
 /// `FCIX_PACK_CACHE_MB` (≥1, in MiB) or 256 MiB. Resolved once. When the
 /// budget fills, remaining families simply keep the build-and-pack-per-call
 /// path — correctness never depends on a cache hit.
@@ -95,84 +92,101 @@ fn pack_cache_budget() -> usize {
     })
 }
 
-/// Cache of packed `V_K` GEMM operands, indexed by Kα.
+/// Packed `V_K` GEMM operands of one Hamiltonian, indexed by Kα and
+/// shared by every worker computing its tasks.
 ///
 /// `V_K` depends only on the Hamiltonian and the family, so once packed
-/// it is valid for every σ application against that Hamiltonian. Entries
-/// fill deterministically in task-claim order (which the serial backend
-/// fixes) and are dropped wholesale when the Hamiltonian changes — the
-/// id key makes stale replay structurally impossible.
-struct PackedCache {
+/// it is valid for every σ application against that Hamiltonian, on any
+/// thread: each panel is packed once and then only read. The id key makes
+/// stale replay structurally impossible. Which panels fit the budget may
+/// depend on timing across workers, but never the result: the packed and
+/// unpacked GEMM paths are bitwise equal.
+struct VkCache {
     ham_id: u64,
-    bytes: usize,
-    panels: Vec<Option<PackedA>>,
+    panels: Vec<OnceLock<PackedA>>,
+    bytes: AtomicUsize,
+    /// Pack operations performed for this cache, on all workers.
+    packs: AtomicUsize,
 }
 
-impl PackedCache {
-    fn empty() -> Self {
-        PackedCache {
-            ham_id: 0,
-            bytes: 0,
-            panels: Vec::new(),
+impl VkCache {
+    fn new(ham_id: u64, nka: usize) -> Self {
+        VkCache {
+            ham_id,
+            panels: (0..nka).map(|_| OnceLock::new()).collect(),
+            bytes: AtomicUsize::new(0),
+            packs: AtomicUsize::new(0),
         }
     }
 
-    /// Point the cache at `(ham_id, nka)`, clearing it on any change
-    /// (Hamiltonian ids start at 1, so the fresh cache never matches).
-    fn sync(&mut self, ham_id: u64, nka: usize) {
-        if self.ham_id != ham_id || self.panels.len() != nka {
-            self.ham_id = ham_id;
-            self.bytes = 0;
-            self.panels.clear();
-            self.panels.resize_with(nka, || None);
-        }
+    fn serves(&self, ham_id: u64, nka: usize) -> bool {
+        self.ham_id == ham_id && self.panels.len() == nka
     }
 
-    /// Store a packed operand for `ka` if it fits the budget.
-    fn insert(&mut self, ka: usize, pa: PackedA) {
-        if self.bytes + pa.bytes() <= pack_cache_budget() {
-            self.bytes += pa.bytes();
-            self.panels[ka] = Some(pa);
+    /// Pack `vk` as family `ka`'s operand and keep it if the budget
+    /// allows; the cached operand, or `None` when declined.
+    fn insert(&self, ka: usize, vk: &Matrix) -> Option<&PackedA> {
+        // Relaxed counters: a budget and a statistic; the panel itself is
+        // published to other workers by its `OnceLock`.
+        let pa = PackedA::pack(Trans::No, vk);
+        self.packs.fetch_add(1, Ordering::Relaxed);
+        let size = pa.bytes();
+        if self.bytes.fetch_add(size, Ordering::Relaxed) + size > pack_cache_budget() {
+            self.bytes.fetch_sub(size, Ordering::Relaxed);
+            return None;
         }
+        if self.panels[ka].set(pa).is_err() {
+            // Another worker cached this family first; keep theirs.
+            self.bytes.fetch_sub(size, Ordering::Relaxed);
+        }
+        self.panels[ka].get()
     }
 
-    /// `(cached entries, total pack operations across them)` — the
-    /// repack-elimination test asserts both equal Nα′ after many solves.
+    /// `(cached entries, pack operations)` — the repack-elimination test
+    /// asserts both equal Nα′ after many σ applications.
     #[cfg(test)]
-    fn pack_totals(&self) -> (usize, usize) {
-        let entries = self.panels.iter().flatten().count();
-        let packs: usize = self.panels.iter().flatten().map(|p| p.packs()).sum();
-        (entries, packs)
+    fn totals(&self) -> (usize, usize) {
+        let entries = self.panels.iter().filter(|p| p.get().is_some()).count();
+        (entries, self.packs.load(Ordering::Relaxed))
     }
 }
 
-/// Cache key for [`SERIAL_BUFS`]: `(nbstr, nq, n, nkb)`.
+/// Cache key for [`THREAD_BUFS`]: `(nbstr, nq, n, nkb)`.
 type BufKey = (usize, usize, usize, usize);
 
-thread_local! {
-    /// Cached serial-backend working area, keyed by its dimensions.
-    ///
-    /// `mixed_spin_dgemm` runs once per σ application; hoisting the
-    /// buffers across calls means steady-state Davidson iterations
-    /// allocate nothing in the mixed-spin hot path (asserted by the
-    /// counting-allocator test in `tests/alloc_hotpath.rs`). Thread
-    /// workers under the threads backend keep per-thread buffers for the
-    /// lifetime of their phase instead (one allocation per phase, not
-    /// per task).
-    static SERIAL_BUFS: std::cell::RefCell<Option<(BufKey, WorkBufs)>> =
-        const { std::cell::RefCell::new(None) };
+/// One staged task of the serial backend's compute window.
+struct Slot {
+    work: TaskWork,
+    out: Vec<f64>,
 }
 
-/// Run `f` with the cached serial working area for the given dimensions,
+thread_local! {
+    /// This thread's working area, keyed by its dimensions: every pool
+    /// participant (and the caller) computes tasks out of its own, so
+    /// steady-state Davidson iterations allocate nothing in the task
+    /// body (asserted by the counting-allocator test in
+    /// `tests/alloc_hotpath.rs`).
+    static THREAD_BUFS: std::cell::RefCell<Option<(BufKey, WorkBufs)>> =
+        const { std::cell::RefCell::new(None) };
+    /// The calling thread's shared packed-`V_K` cache (the Hamiltonian
+    /// it serves is in the cache's key).
+    static VK_CACHE: std::cell::RefCell<Option<Arc<VkCache>>> =
+        const { std::cell::RefCell::new(None) };
+    /// The calling thread's staging window (serial backend).
+    static STAGING: std::cell::RefCell<Vec<Slot>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` with this thread's working area for the given dimensions,
 /// (re)allocating only when the dimensions change.
-fn with_serial_bufs<R>(
+fn with_thread_bufs<R>(
     nbstr: usize,
     nq: usize,
     n: usize,
     nkb: usize,
     f: impl FnOnce(&mut WorkBufs) -> R,
 ) -> R {
-    SERIAL_BUFS.with(|cell| {
+    THREAD_BUFS.with(|cell| {
         let mut slot = cell.borrow_mut();
         let key = (nbstr, nq, n, nkb);
         match slot.as_mut() {
@@ -185,22 +199,42 @@ fn with_serial_bufs<R>(
     })
 }
 
-/// Execute the work of one Kα family on `rank`, handing each α-column
-/// update to `sink` (which normally performs the `DDI_ACC`).
-#[allow(clippy::too_many_arguments)]
-fn process_task_into(
+/// The calling thread's shared `V_K` cache for `(ham_id, nka)`, replacing
+/// a cache that serves another Hamiltonian.
+fn shared_vk_cache(ham_id: u64, nka: usize) -> Arc<VkCache> {
+    VK_CACHE.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        match slot.as_ref() {
+            Some(cache) if cache.serves(ham_id, nka) => cache.clone(),
+            _ => slot.insert(Arc::new(VkCache::new(ham_id, nka))).clone(),
+        }
+    })
+}
+
+/// Simulated work counts of one task, fixed by the family structure;
+/// computed with the task and charged when it is committed.
+#[derive(Clone, Copy, Debug, Default)]
+struct TaskWork {
+    /// Elements moved by the D build.
+    touched: usize,
+    /// Elements moved by the β scatter.
+    scat: usize,
+}
+
+/// Compute the column updates of Kα family `ka` into `out` (`nq` columns
+/// of `nbstr`, column `slot` for family member `slot`, excitation sign
+/// applied). Reads `c` directly — no rank, no statistics, no clock — so
+/// it may run on any thread; [`commit_task`] charges and delivers it.
+fn compute_task(
     ctx: &SigmaCtx,
     c: &DistMatrix,
     ka: usize,
-    rank: usize,
     bufs: &mut WorkBufs,
-    stats: &mut CommStats,
-    clock: &mut Clock,
-    sink: &mut ColumnSink,
-) {
+    cache: &VkCache,
+    out: &mut [f64],
+) -> TaskWork {
     let space = ctx.space;
     let ham = ctx.ham;
-    let model = ctx.model;
     let n = space.n_orb();
     let nbstr = space.beta.len();
     let nkb = space.beta_nm1.len();
@@ -208,15 +242,13 @@ fn process_task_into(
     let nq = fam.len();
     let nd = nq * n;
 
-    // (1) gather the C columns of the family in ONE aggregated DDI op —
-    // one latency charge (and one trace event) per remote owner-run
-    // instead of one per column, the paper's size-ordered aggregated
-    // gather — then fold the excitation signs in place. An in-place
-    // `*v *= -1` produces the same bits as the old `sgn * v` store.
+    // (1) gather the C columns of the family (the communication is
+    // charged at commit), then fold the excitation signs in place. An
+    // in-place `*v *= -1` produces the same bits as a `sgn * v` store.
     bufs.cols.clear();
     // lint: allow(alloc) — capacity reserved once in WorkBufs::new; clear+extend never reallocates
     bufs.cols.extend(fam.iter().map(|e| e.to as usize));
-    c.get_cols(rank, &bufs.cols, &mut bufs.cg[..nq * nbstr], stats);
+    c.read_cols(&bufs.cols, &mut bufs.cg[..nq * nbstr]);
     for (slot, e) in fam.iter().enumerate() {
         if e.sign < 0 {
             for v in &mut bufs.cg[slot * nbstr..(slot + 1) * nbstr] {
@@ -224,11 +256,9 @@ fn process_task_into(
             }
         }
     }
-    clock.charge_gather(model, (nq * nbstr) as f64);
 
     // (2) build D through the β N−1 families.
     bufs.d.fill_zero();
-    clock.charge_memcpy(model, (nd * nkb * 8) as f64);
     let mut touched = 0usize;
     for kb in 0..nkb {
         for eb in space.beta_nm1.of(kb) {
@@ -241,38 +271,33 @@ fn process_task_into(
             touched += nq;
         }
     }
-    clock.charge_gather(model, touched as f64);
 
     // (3) the integral block and the DGEMM. `V_K` depends only on
-    // (Hamiltonian, Kα), so above the GEMM packing crossover the worker
-    // packs it once into its persistent cache and replays the packed
-    // operand on every later σ application — Davidson iterates dozens of
-    // times against the same integrals, and on a hit both the nd×nd
-    // gather and the GEMM's per-call A-pack disappear. The simulated
-    // clock still charges the full build either way: the cache is a
-    // host-time optimization, invisible to the machine model (and hence
-    // to the simulated schedule, which is driven by those charges).
+    // (Hamiltonian, Kα), so above the GEMM packing crossover it is packed
+    // once into the Hamiltonian's shared cache and replayed on every later
+    // σ application — Davidson iterates dozens of times against the same
+    // integrals, and on a hit both the nd×nd gather and the GEMM's
+    // per-call A-pack disappear. The simulated clock still charges the
+    // full build either way: the cache is a host-time optimization,
+    // invisible to the machine model (and hence to the simulated
+    // schedule, which is driven by those charges).
     let use_pack = gemm_prefers_packed(nd, nkb, nd);
-    if use_pack {
-        bufs.pack.sync(ham.id(), space.alpha_nm1.len());
-    }
-    if !(use_pack && bufs.pack.panels[ka].is_some()) {
-        fill_vk(&mut bufs.vk, ham, fam, n);
-        if use_pack {
-            bufs.pack.insert(ka, PackedA::pack(Trans::No, &bufs.vk));
-        }
-    }
-    clock.charge_memcpy(model, (nd * nd * 8) as f64);
-    let pa = if use_pack {
-        bufs.pack.panels[ka].as_ref()
+    let mut pa = if use_pack {
+        cache.panels[ka].get()
     } else {
         None
     };
+    if pa.is_none() {
+        fill_vk(&mut bufs.vk, ham, fam, n);
+        if use_pack {
+            pa = cache.insert(ka, &bufs.vk);
+        }
+    }
     match pa {
         // Bitwise equal to the `dgemm` packed path below, which `Auto`
         // selects for every shape where `use_pack` holds.
         Some(pa) => dgemm_prepacked(
-            gemm_threads(),
+            par::width(),
             1.0,
             pa,
             Trans::No,
@@ -290,10 +315,10 @@ fn process_task_into(
             &mut bufs.e_mat,
         ),
     }
-    clock.charge_dgemm(model, nd, nkb, nd);
 
-    // (4) scatter through β families and accumulate.
-    bufs.u.iter_mut().for_each(|x| *x = 0.0);
+    // (4) scatter through the β families, then apply each column's
+    // excitation sign (exact, as in (1)).
+    out.iter_mut().for_each(|x| *x = 0.0);
     let mut scat = 0usize;
     for kb in 0..nkb {
         for eb in space.beta_nm1.of(kb) {
@@ -301,21 +326,99 @@ fn process_task_into(
             let sgn = eb.sign as f64;
             let ib = eb.to as usize;
             for pi in 0..nq {
-                bufs.u[ib + pi * nbstr] += sgn * bufs.e_mat[(pi * n + r, kb)];
+                out[ib + pi * nbstr] += sgn * bufs.e_mat[(pi * n + r, kb)];
             }
             scat += nq;
         }
     }
-    clock.charge_gather(model, scat as f64);
     for (slot, e) in fam.iter().enumerate() {
-        let sgn = e.sign as f64;
-        for (i, cb) in bufs.colbuf.iter_mut().enumerate() {
-            *cb = sgn * bufs.u[i + slot * nbstr];
+        if e.sign < 0 {
+            for v in &mut out[slot * nbstr..(slot + 1) * nbstr] {
+                *v = -*v;
+            }
         }
-        sink(e.to as usize, &bufs.colbuf, stats);
+    }
+    TaskWork { touched, scat }
+}
+
+/// Commit one computed task as `rank`: charge its gather (the DDI
+/// protocol, statistics and fault draws of [`DistMatrix::get_cols`]),
+/// charge its simulated work in the paper's step order, and hand each
+/// α-column update to `sink` (which normally performs the `DDI_ACC`).
+/// `cols` is scratch for the family's column list.
+#[allow(clippy::too_many_arguments)]
+fn commit_task(
+    ctx: &SigmaCtx,
+    c: &DistMatrix,
+    ka: usize,
+    rank: usize,
+    out: &[f64],
+    work: TaskWork,
+    cols: &mut Vec<usize>,
+    stats: &mut CommStats,
+    clock: &mut Clock,
+    sink: &mut ColumnSink,
+) {
+    let space = ctx.space;
+    let model = ctx.model;
+    let nbstr = space.beta.len();
+    let nkb = space.beta_nm1.len();
+    let fam = space.alpha_nm1.of(ka);
+    let nq = fam.len();
+    let nd = nq * space.n_orb();
+
+    // (1) the family's columns in ONE aggregated DDI gather — one latency
+    // charge (and one trace event) per remote owner-run instead of one per
+    // column, the paper's size-ordered aggregated gather.
+    cols.clear();
+    // lint: allow(alloc) — capacity reserved once by the owner; clear+extend never reallocates
+    cols.extend(fam.iter().map(|e| e.to as usize));
+    c.charge_get_cols(rank, cols, stats);
+    clock.charge_gather(model, (nq * nbstr) as f64);
+    // (2) D build.
+    clock.charge_memcpy(model, (nd * nkb * 8) as f64);
+    clock.charge_gather(model, work.touched as f64);
+    // (3) V_K and the DGEMM.
+    clock.charge_memcpy(model, (nd * nd * 8) as f64);
+    clock.charge_dgemm(model, nd, nkb, nd);
+    // (4) scatter and accumulate.
+    clock.charge_gather(model, work.scat as f64);
+    for (slot, e) in fam.iter().enumerate() {
+        sink(e.to as usize, &out[slot * nbstr..(slot + 1) * nbstr], stats);
     }
     clock.charge_gather(model, (nq * nbstr) as f64);
     clock.charge_scalar(model, (2 * nq + 2 * nkb) as f64);
+}
+
+/// Execute the work of one Kα family on `rank` back to back — compute,
+/// then commit — handing each α-column update to `sink`.
+#[allow(clippy::too_many_arguments)]
+fn process_task_into(
+    ctx: &SigmaCtx,
+    c: &DistMatrix,
+    ka: usize,
+    rank: usize,
+    bufs: &mut WorkBufs,
+    cache: &VkCache,
+    stats: &mut CommStats,
+    clock: &mut Clock,
+    sink: &mut ColumnSink,
+) {
+    let mut out = std::mem::take(&mut bufs.u);
+    let work = compute_task(ctx, c, ka, bufs, cache, &mut out);
+    commit_task(
+        ctx,
+        c,
+        ka,
+        rank,
+        &out,
+        work,
+        &mut bufs.cols,
+        stats,
+        clock,
+        sink,
+    );
+    bufs.u = out;
 }
 
 /// Fill `vk` with the family's integral block (the "INT" box of
@@ -333,90 +436,72 @@ fn fill_vk(vk: &mut Matrix, ham: &Hamiltonian, fam: &[fci_strings::CreateEntry],
     }
 }
 
-/// Test hook: `(entries, total packs)` of the calling thread's cached
-/// serial working area (zeros when none exists yet).
+/// Test hook: `(entries, total packs)` of the calling thread's shared
+/// `V_K` cache (zeros when none exists yet).
 #[cfg(test)]
-pub(crate) fn serial_pack_totals() -> (usize, usize) {
-    SERIAL_BUFS.with(|cell| {
-        cell.borrow()
-            .as_ref()
-            .map(|(_, bufs)| bufs.pack.pack_totals())
-            .unwrap_or((0, 0))
-    })
+pub(crate) fn vk_cache_totals() -> (usize, usize) {
+    VK_CACHE.with(|cell| cell.borrow().as_ref().map_or((0, 0), |c| c.totals()))
 }
 
-/// Execute the work of one Kα family on `rank`, accumulating into σ.
+/// Commit a computed task as `rank`, accumulating into σ.
 ///
-/// With a fault plan present the task runs *guarded*: updates are
-/// buffered, validated finite as a whole, and only then committed — a
-/// poisoned working area triggers a full task recompute instead of
-/// polluting σ. Without a plan the sink accumulates directly (fast path).
+/// With a fault plan present the commit is *guarded*: the staged update
+/// is validated finite as a whole before anything is accumulated — a
+/// poisoned working area triggers a full recompute of the task instead of
+/// polluting σ. Without a plan the columns accumulate directly (fast
+/// path).
 #[allow(clippy::too_many_arguments)]
-fn process_task(
+fn commit_to_sigma(
     ctx: &SigmaCtx,
     c: &DistMatrix,
     sigma: &DistMatrix,
     ka: usize,
     rank: usize,
-    bufs: &mut WorkBufs,
+    out: &mut [f64],
+    work: TaskWork,
+    cache: &VkCache,
+    cols: &mut Vec<usize>,
     stats: &mut CommStats,
     clock: &mut Clock,
     plan: Option<&FaultPlan>,
 ) {
     let Some(plan) = plan else {
-        process_task_into(
+        commit_task(
             ctx,
             c,
             ka,
             rank,
-            bufs,
+            out,
+            work,
+            cols,
             stats,
             clock,
             &mut |col, vals, st| sigma.acc_col(rank, col, vals, st),
         );
         return;
     };
-    process_task_guarded(ctx, c, sigma, ka, rank, bufs, stats, clock, plan);
-}
-
-/// The guarded task path: compute into a staging buffer, inject any
-/// scheduled poison, run the column guard (every value finite), and
-/// either commit all accumulates or recompute the whole task. The
-/// all-or-nothing commit means a detected fault never leaves a partial
-/// task in σ, and the recompute's recomputed gathers/DGEMM re-charge the
-/// clock naturally.
-#[allow(clippy::too_many_arguments)]
-fn process_task_guarded(
-    ctx: &SigmaCtx,
-    c: &DistMatrix,
-    sigma: &DistMatrix,
-    ka: usize,
-    rank: usize,
-    bufs: &mut WorkBufs,
-    stats: &mut CommStats,
-    clock: &mut Clock,
-    plan: &FaultPlan,
-) {
     let tracer = ctx.ddi.tracer();
+    let nbstr = ctx.space.beta.len();
     let mut attempt: u32 = 0;
     loop {
-        let mut pending: Vec<(usize, Vec<f64>)> = Vec::new();
-        process_task_into(
+        commit_task(
             ctx,
             c,
             ka,
             rank,
-            bufs,
+            out,
+            work,
+            cols,
             stats,
             clock,
-            &mut |col, vals, _st| pending.push((col, vals.to_vec())),
+            &mut |_, _, _| {},
         );
         // An injected single-event upset strikes the working area after
         // the compute, before the commit (the plan caps attempts, so the
         // recompute loop terminates by construction).
         if plan.poison_task(attempt) {
-            if let Some((_, vals)) = pending.first_mut() {
-                plan.corrupt(Corruption::Nan, vals);
+            if let Some(first) = out.get_mut(..nbstr) {
+                plan.corrupt(Corruption::Nan, first);
             }
             tracer.instant(
                 Some(rank),
@@ -429,16 +514,15 @@ fn process_task_guarded(
                 ],
             );
         }
-        let clean = pending
-            .iter()
-            .all(|(_, vals)| vals.iter().all(|v| v.is_finite()));
-        if clean {
-            for (col, vals) in &pending {
-                sigma.acc_col(rank, *col, vals, stats);
+        if out.iter().all(|v| v.is_finite()) {
+            for (slot, e) in ctx.space.alpha_nm1.of(ka).iter().enumerate() {
+                let vals = &out[slot * nbstr..(slot + 1) * nbstr];
+                sigma.acc_col(rank, e.to as usize, vals, stats);
             }
             return;
         }
-        // Column guard tripped: discard the whole task and redo it.
+        // Column guard tripped: discard the whole task and redo it; the
+        // next pass re-charges the recomputed gathers and DGEMM.
         plan.count_recompute();
         stats.backoff_ns += plan.backoff_ns(attempt);
         tracer.instant(
@@ -448,7 +532,17 @@ fn process_task_guarded(
             &[("ka", ka as f64), ("attempt", attempt as f64)],
         );
         attempt += 1;
+        let space = ctx.space;
+        let nq = n_q(ctx);
+        with_thread_bufs(nbstr, nq, space.n_orb(), space.beta_nm1.len(), |bufs| {
+            compute_task(ctx, c, ka, bufs, cache, out)
+        });
     }
+}
+
+/// Family size `n − (Nα − 1)` of every Kα.
+fn n_q(ctx: &SigmaCtx) -> usize {
+    ctx.space.n_orb() - (ctx.space.alpha.n_elec() - 1)
 }
 
 /// A persistent mixed-spin worker: owns one rank's working buffers,
@@ -459,6 +553,7 @@ fn process_task_guarded(
 /// the replay teeth against stale-buffer contamination.
 pub struct MixedWorker {
     bufs: WorkBufs,
+    cache: VkCache,
     /// Communication charged to this worker so far.
     pub stats: CommStats,
     /// Simulated time charged to this worker so far.
@@ -469,10 +564,10 @@ impl MixedWorker {
     /// Fresh worker with buffers sized for `ctx.space`.
     pub fn new(ctx: &SigmaCtx) -> MixedWorker {
         let space = ctx.space;
-        let n = space.n_orb();
-        let nq = n - (space.alpha.n_elec() - 1);
+        let nq = n_q(ctx);
         MixedWorker {
-            bufs: WorkBufs::new(space.beta.len(), nq, n, space.beta_nm1.len()),
+            bufs: WorkBufs::new(space.beta.len(), nq, space.n_orb(), space.beta_nm1.len()),
+            cache: VkCache::new(ctx.ham.id(), space.alpha_nm1.len()),
             stats: CommStats::default(),
             clock: Clock::default(),
         }
@@ -494,12 +589,21 @@ impl MixedWorker {
             ka,
             rank,
             &mut self.bufs,
+            &self.cache,
             &mut self.stats,
             &mut self.clock,
             sink,
         );
     }
 }
+
+/// Staged tasks per window and pool participant under the serial
+/// backend: one task per pool chunk, so a late helper finds work and
+/// the window barrier idles for at most one task.
+const WINDOW_PER_WORKER: usize = par::CHUNKS_PER_WORKER;
+
+/// Upper bound on one window's staging buffers.
+const STAGING_BYTES: usize = 32 << 20;
 
 /// Apply the mixed-spin contribution: `sigma += H_αβ · c`.
 pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> RunReport {
@@ -509,10 +613,11 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
     let nbstr = space.beta.len();
     let nka = space.alpha_nm1.len();
     let nkb = space.beta_nm1.len();
-    let nq = n - (space.alpha.n_elec() - 1);
+    let nq = n_q(ctx);
     let nproc = ctx.ddi.nproc();
     let plan = ctx.ddi.faults();
     let pool = TaskPool::aggregated(nka, nproc, ctx.pool);
+    let cache = shared_vk_cache(ctx.ham.id(), nka);
     ctx.ddi.reset_counter();
     let tracer = ctx.ddi.tracer();
     let host_start = tracer.now_us();
@@ -530,39 +635,80 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
     }
 
     let report = match ctx.ddi.backend() {
-        Backend::Serial => with_serial_bufs(nbstr, nq, n, nkb, |bufs| {
+        Backend::Serial => {
             // Deterministic simulation of self-scheduling: the rank whose
             // clock is lowest claims the next task (greedy list schedule).
+            // Task *computation* does not depend on the rank, so windows
+            // of tasks are computed on the worker pool first; the caller
+            // then commits them in claim order — every counter claim,
+            // gather charge, clock charge and σ accumulate happens in the
+            // same order as a one-thread run.
+            let width = ctx.ddi.pool_width();
+            let slot_len = nq * nbstr;
+            let window = (WINDOW_PER_WORKER * width)
+                .min(STAGING_BYTES / (8 * slot_len).max(1))
+                .max(1);
+            let task_work = 2 * nq * n * nkb * nq * n;
             let mut clocks = vec![Clock::default(); nproc];
             let mut stats = vec![CommStats::default(); nproc];
-            for t in 0..pool.len() {
-                let rank = argmin_clock(&clocks, model, &stats);
-                // Claim through the real counter so traces and protocol
-                // records see the same ddi_nxtval stream as the threaded
-                // backend (the greedy argmin IS the claim order here, so
-                // the counter hands back exactly `t`).
-                let claimed = ctx.ddi.nxtval_rank(rank, &mut stats[rank]);
-                debug_assert_eq!(claimed, t);
-                tracer.instant(
-                    Some(rank),
-                    "task_grab",
-                    Category::Other,
-                    &[("task", t as f64), ("size", pool.task(t).len() as f64)],
-                );
-                for ka in pool.task(t) {
-                    process_task(
-                        ctx,
-                        c,
-                        sigma,
-                        ka,
-                        rank,
-                        bufs,
-                        &mut stats[rank],
-                        &mut clocks[rank],
-                        plan.as_deref(),
-                    );
+            let mut cols = Vec::with_capacity(nq);
+            // (task, ka) in claim order (tasks are never empty).
+            let order: Vec<(usize, usize)> = (0..pool.len())
+                .flat_map(|t| pool.task(t).map(move |ka| (t, ka)))
+                .collect();
+            let mut rank = 0;
+            STAGING.with(|cell| {
+                let mut slots = cell.borrow_mut();
+                slots.truncate(window);
+                slots.iter_mut().for_each(|s| s.out.resize(slot_len, 0.0));
+                while slots.len() < window {
+                    slots.push(Slot {
+                        work: TaskWork::default(),
+                        out: vec![0.0; slot_len],
+                    });
                 }
-            }
+                for win in order.chunks(window) {
+                    let slots = &mut slots[..win.len()];
+                    par::for_each_mut(width, task_work * win.len(), slots, |i, slot| {
+                        with_thread_bufs(nbstr, nq, n, nkb, |bufs| {
+                            let ka = win[i].1;
+                            slot.work = compute_task(ctx, c, ka, bufs, &cache, &mut slot.out);
+                        });
+                    });
+                    for (slot, &(t, ka)) in slots.iter_mut().zip(win) {
+                        if ka == pool.task(t).start {
+                            rank = argmin_clock(&clocks, model, &stats);
+                            // Claim through the real counter so traces and
+                            // protocol records see the same ddi_nxtval
+                            // stream as the threaded backend (the greedy
+                            // argmin IS the claim order here, so the
+                            // counter hands back exactly `t`).
+                            let got = ctx.ddi.nxtval_rank(rank, &mut stats[rank]);
+                            debug_assert_eq!(got, t);
+                            tracer.instant(
+                                Some(rank),
+                                "task_grab",
+                                Category::Other,
+                                &[("task", t as f64), ("size", pool.task(t).len() as f64)],
+                            );
+                        }
+                        commit_to_sigma(
+                            ctx,
+                            c,
+                            sigma,
+                            ka,
+                            rank,
+                            &mut slot.out,
+                            slot.work,
+                            &cache,
+                            &mut cols,
+                            &mut stats[rank],
+                            &mut clocks[rank],
+                            plan.as_deref(),
+                        );
+                    }
+                }
+            });
             // Every rank's terminating counter probe.
             for (rank, st) in stats.iter_mut().enumerate() {
                 let t = ctx.ddi.nxtval_rank(rank, st);
@@ -572,7 +718,7 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                 charge_comm(ck, st, model);
             }
             RunReport::new(clocks)
-        }),
+        }
         Backend::Threads => {
             let clocks = Mutex::new(vec![Clock::default(); nproc]);
             let stats_out = ctx.ddi.run(|rank, stats| {
@@ -590,17 +736,23 @@ pub fn mixed_spin_dgemm(ctx: &SigmaCtx, c: &DistMatrix, sigma: &DistMatrix) -> R
                         &[("task", t as f64), ("size", pool.task(t).len() as f64)],
                     );
                     for ka in pool.task(t) {
-                        process_task(
+                        let mut out = std::mem::take(&mut bufs.u);
+                        let work = compute_task(ctx, c, ka, &mut bufs, &cache, &mut out);
+                        commit_to_sigma(
                             ctx,
                             c,
                             sigma,
                             ka,
                             rank,
-                            &mut bufs,
+                            &mut out,
+                            work,
+                            &cache,
+                            &mut bufs.cols,
                             stats,
                             &mut clock,
                             plan.as_deref(),
                         );
+                        bufs.u = out;
                     }
                 }
                 clocks.lock().unwrap()[rank] = clock;
@@ -807,9 +959,10 @@ mod tests {
     fn vk_operands_packed_once_per_solve_sequence() {
         // DetSpace::c1(10,3,3): nd = 80, nkb = 45, so the V_K·D product
         // sits above the packing crossover and every family's operand is
-        // cached. Repeated σ applications against the same Hamiltonian
-        // must leave exactly Nα′ cached operands, each packed exactly
-        // once — and must reproduce σ bitwise.
+        // cached. Repeated σ applications against the same Hamiltonian —
+        // with the tasks computed on every pool width — must leave
+        // exactly Nα′ cached operands, each packed exactly once across
+        // all workers, and must reproduce σ bitwise.
         let ham = random_hamiltonian(10, 17);
         let space = DetSpace::c1(10, 3, 3);
         let nproc = 4;
@@ -831,24 +984,18 @@ mod tests {
         let c = space.guess(&ham, nproc);
         let nka = space.alpha_nm1.len();
         let sigma1 = space.zeros_ci(nproc);
-        mixed_spin_dgemm(&ctx, &c, &sigma1);
-        assert_eq!(
-            serial_pack_totals(),
-            (nka, nka),
-            "first solve fills the cache"
-        );
-        let sigma2 = space.zeros_ci(nproc);
-        mixed_spin_dgemm(&ctx, &c, &sigma2);
-        assert_eq!(
-            serial_pack_totals(),
-            (nka, nka),
-            "second solve repacks nothing"
-        );
-        assert_eq!(
-            sigma1.to_dense(),
-            sigma2.to_dense(),
-            "cached replay must be bitwise identical"
-        );
+        par::with_width(2, || mixed_spin_dgemm(&ctx, &c, &sigma1));
+        assert_eq!(vk_cache_totals(), (nka, nka), "first σ fills the cache");
+        for w in [1usize, 2, 4] {
+            let sigma2 = space.zeros_ci(nproc);
+            par::with_width(w, || mixed_spin_dgemm(&ctx, &c, &sigma2));
+            assert_eq!(vk_cache_totals(), (nka, nka), "width {w} repacks nothing");
+            assert_eq!(
+                sigma1.to_dense(),
+                sigma2.to_dense(),
+                "cached replay at width {w} must be bitwise identical"
+            );
+        }
         // A different Hamiltonian invalidates and refills the cache.
         let ham2 = random_hamiltonian(10, 18);
         let ctx2 = SigmaCtx {
@@ -858,8 +1005,8 @@ mod tests {
             model: &model,
             pool: PoolParams::default(),
         };
-        mixed_spin_dgemm(&ctx2, &c, &space.zeros_ci(nproc));
-        assert_eq!(serial_pack_totals(), (nka, nka));
+        par::with_width(2, || mixed_spin_dgemm(&ctx2, &c, &space.zeros_ci(nproc)));
+        assert_eq!(vk_cache_totals(), (nka, nka));
     }
 
     #[test]

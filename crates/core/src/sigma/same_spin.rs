@@ -17,11 +17,9 @@
 
 use super::SigmaCtx;
 use crate::hamiltonian::Hamiltonian;
-use crate::phase::run_phase;
+use crate::phase::run_owner_phase;
 use fci_ddi::DistMatrix;
-use fci_linalg::{
-    dgemm, dgemm_prepacked, gemm_prefers_packed, gemm_threads, Matrix, PackedA, Trans,
-};
+use fci_linalg::{dgemm, dgemm_prepacked, gemm_prefers_packed, par, Matrix, PackedA, Trans};
 use fci_strings::{Nm2Families, SinglesTable};
 use fci_xsim::RunReport;
 
@@ -73,8 +71,11 @@ pub fn half_sigma_dgemm(
     let model = ctx.model;
     let nrows = c.nrows();
     let npair = ham.npair();
+    // Owner-computes: a rank reads C and writes only its own σ columns
+    // (no communication at all), so ranks may run on any pool thread.
+    let work = nm2.map_or(0, |f| f.len()) * 2 * npair * npair * c.ncols();
 
-    run_phase(ctx.ddi, model, name, |rank, _stats, clock| {
+    run_owner_phase(ctx.ddi, model, name, work, |rank, _stats, clock| {
         let cols = c.local_cols(rank);
         let nloc = cols.len();
         if nloc == 0 {
@@ -131,7 +132,7 @@ pub fn half_sigma_dgemm(
                     // The DGEMM: E = Ĝ · D.
                     match gpack {
                         Some(pa) => {
-                            dgemm_prepacked(gemm_threads(), 1.0, pa, Trans::No, &d, 0.0, &mut e_mat)
+                            dgemm_prepacked(par::width(), 1.0, pa, Trans::No, &d, 0.0, &mut e_mat)
                         }
                         None => dgemm(Trans::No, Trans::No, 1.0, &ham.g, &d, 0.0, &mut e_mat),
                     }

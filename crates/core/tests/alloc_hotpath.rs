@@ -15,6 +15,7 @@ use fci_core::sigma::mixed::{mixed_spin_dgemm, MixedWorker};
 use fci_core::sigma::SigmaCtx;
 use fci_core::{random_hamiltonian, DetSpace, PoolParams};
 use fci_ddi::{Backend, Ddi};
+use fci_linalg::par;
 use fci_xsim::MachineModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,24 +120,30 @@ fn sigma_task_hot_path_is_allocation_free_after_warmup() {
         "σ task hot path allocated {min_calls} times per pass after warm-up"
     );
 
-    // Full-phase driver: the first call builds the hoisted serial
-    // working area (V_K alone is nd² doubles); steady-state calls keep
-    // only O(nproc + tasks) bookkeeping and must stay far below it.
-    let sigma2 = space.zeros_ci(nproc);
-    let (_, b0) = allocs();
-    mixed_spin_dgemm(&ctx, &c, &sigma2);
-    let (_, b1) = allocs();
-    let warm_bytes = b1 - b0;
-    let mut steady_bytes = u64::MAX;
-    for _ in 0..3 {
-        let (_, s0) = allocs();
-        mixed_spin_dgemm(&ctx, &c, &sigma2);
-        let (_, s1) = allocs();
-        steady_bytes = steady_bytes.min(s1 - s0);
+    // Full-phase driver: the first call builds the hoisted working areas
+    // (V_K alone is nd² doubles) and the staging window; steady-state
+    // calls keep only O(nproc + tasks) bookkeeping and must stay far
+    // below it — at width 1 and with the tasks computed on the worker
+    // pool at width 2 (each participant keeps its own working area).
+    for width in [1usize, 2] {
+        par::with_width(width, || {
+            let sigma2 = space.zeros_ci(nproc);
+            let (_, b0) = allocs();
+            mixed_spin_dgemm(&ctx, &c, &sigma2);
+            let (_, b1) = allocs();
+            let warm_bytes = b1 - b0;
+            let mut steady_bytes = u64::MAX;
+            for _ in 0..3 {
+                let (_, s0) = allocs();
+                mixed_spin_dgemm(&ctx, &c, &sigma2);
+                let (_, s1) = allocs();
+                steady_bytes = steady_bytes.min(s1 - s0);
+            }
+            assert!(
+                steady_bytes * 4 < warm_bytes,
+                "width {width}: steady-state mixed_spin_dgemm allocates {steady_bytes} B \
+                 per call vs {warm_bytes} B warm-up — WorkBufs hoisting is not effective"
+            );
+        });
     }
-    assert!(
-        steady_bytes * 4 < warm_bytes,
-        "steady-state mixed_spin_dgemm allocates {steady_bytes} B per call \
-         vs {warm_bytes} B warm-up — WorkBufs hoisting is not effective"
-    );
 }

@@ -3,6 +3,7 @@
 use crate::record::{AccessKind, AccessRecorder, DdiAccess, DdiSite};
 use crate::stats::CommStats;
 use fci_fault::{checksum_f64s, FaultPlan, ProtocolFault, TransferFault, TransferOp};
+use fci_linalg::par;
 use fci_obs::{Category, Tracer};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -268,6 +269,19 @@ impl DistMatrix {
     /// traffic plus backoff wait are charged to the caller's stats.
     pub fn get_col(&self, rank: usize, col: usize, buf: &mut [f64], stats: &mut CommStats) {
         assert_eq!(buf.len(), self.nrows);
+        self.get_col_into(rank, col, Some(buf), stats);
+    }
+
+    /// [`DistMatrix::get_col`] with the copy optional: `None` runs the
+    /// whole protocol (records, statistics, faults, trace) but leaves the
+    /// data where it is.
+    fn get_col_into(
+        &self,
+        rank: usize,
+        col: usize,
+        buf: Option<&mut [f64]>,
+        stats: &mut CommStats,
+    ) {
         let owner = self.owner(col);
         let local0 = col - self.col_offsets[owner];
         if let Some(plan) = self.faults.get() {
@@ -307,6 +321,48 @@ impl DistMatrix {
     /// independently).
     pub fn get_cols(&self, rank: usize, cols: &[usize], out: &mut [f64], stats: &mut CommStats) {
         assert_eq!(out.len(), self.nrows * cols.len());
+        self.gather_cols(rank, cols, Some(out), stats);
+    }
+
+    /// The communication half of [`DistMatrix::get_cols`] without the
+    /// copy: the same protocol records, statistics, fault draws and trace
+    /// events, in the same order. Paired with [`DistMatrix::read_cols`]
+    /// this lets a caller compute from the columns on any thread and
+    /// charge the gather later, on the rank the simulated schedule
+    /// assigns it to.
+    pub fn charge_get_cols(&self, rank: usize, cols: &[usize], stats: &mut CommStats) {
+        self.gather_cols(rank, cols, None, stats);
+    }
+
+    /// The data half of [`DistMatrix::get_cols`]: copy the columns into
+    /// `out` (column-major, `out[i + slot·nrows]`) with nothing recorded
+    /// or charged. Readers on different threads may run concurrently;
+    /// each takes the owner locks one run at a time.
+    pub fn read_cols(&self, cols: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), self.nrows * cols.len());
+        let mut s = 0;
+        while s < cols.len() {
+            let owner = self.owner(cols[s]);
+            let (lo, hi) = (self.col_offsets[owner], self.col_offsets[owner + 1]);
+            let seg = self.segments[owner].lock().unwrap();
+            while s < cols.len() && (lo..hi).contains(&cols[s]) {
+                let local0 = cols[s] - lo;
+                out[s * self.nrows..(s + 1) * self.nrows]
+                    .copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+                s += 1;
+            }
+        }
+    }
+
+    /// Shared body of [`DistMatrix::get_cols`] (`out` = `Some`) and
+    /// [`DistMatrix::charge_get_cols`] (`None`).
+    fn gather_cols(
+        &self,
+        rank: usize,
+        cols: &[usize],
+        mut out: Option<&mut [f64]>,
+        stats: &mut CommStats,
+    ) {
         if cols.is_empty() {
             return;
         }
@@ -314,8 +370,10 @@ impl DistMatrix {
             // Checked delivery is inherently per-message; keep the
             // aggregated op semantically identical by falling back.
             for (slot, &col) in cols.iter().enumerate() {
-                let buf = &mut out[slot * self.nrows..(slot + 1) * self.nrows];
-                self.get_col(rank, col, buf, stats);
+                let buf = out
+                    .as_deref_mut()
+                    .map(|o| &mut o[slot * self.nrows..(slot + 1) * self.nrows]);
+                self.get_col_into(rank, col, buf, stats);
             }
             return;
         }
@@ -339,8 +397,10 @@ impl DistMatrix {
                         owner,
                         site: DdiSite::Get,
                     });
-                    out[slot * self.nrows..(slot + 1) * self.nrows]
-                        .copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+                    if let Some(o) = out.as_deref_mut() {
+                        o[slot * self.nrows..(slot + 1) * self.nrows]
+                            .copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+                    }
                 }
             }
             if owner != rank {
@@ -367,7 +427,14 @@ impl DistMatrix {
 
     /// The unperturbed get protocol: copy the column out under the
     /// owner's lock, recording the read.
-    fn get_protocol(&self, rank: usize, col: usize, owner: usize, local0: usize, buf: &mut [f64]) {
+    fn get_protocol(
+        &self,
+        rank: usize,
+        col: usize,
+        owner: usize,
+        local0: usize,
+        buf: Option<&mut [f64]>,
+    ) {
         let seg = self.segments[owner].lock().unwrap();
         self.rec(DdiAccess::Access {
             rank,
@@ -377,7 +444,9 @@ impl DistMatrix {
             owner,
             site: DdiSite::Get,
         });
-        buf.copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+        if let Some(buf) = buf {
+            buf.copy_from_slice(&seg[local0 * self.nrows..(local0 + 1) * self.nrows]);
+        }
     }
 
     /// Checked remote get: delivery attempts draw faults from the plan;
@@ -394,7 +463,7 @@ impl DistMatrix {
         col: usize,
         owner: usize,
         local0: usize,
-        buf: &mut [f64],
+        buf: Option<&mut [f64]>,
         stats: &mut CommStats,
     ) {
         let bytes = (self.nrows * 8) as u64;
@@ -923,7 +992,43 @@ impl DistMatrix {
     // ----- distributed vector algebra (treats the matrix as one long
     // vector; every op runs segment-local and reduces) -----
 
-    /// Global Frobenius inner product `⟨self, other⟩`.
+    /// Work estimate of one elementwise pass over the matrix (the
+    /// worker-pool gate, see [`fci_linalg::par::PAR_MIN_WORK`]).
+    fn pass_work(&self) -> usize {
+        2 * self.nrows * self.ncols
+    }
+
+    /// Run `f(p)` for every segment `p` on the worker pool. Each call
+    /// touches only segment `p` of its operands, so the result does not
+    /// depend on which thread ran it.
+    fn for_each_segment(&self, f: impl Fn(usize) + Sync) {
+        par::for_each(par::width(), self.pass_work(), self.nproc, f);
+    }
+
+    /// `Σ_p part(p)` accumulated in segment order on the caller, with the
+    /// per-segment partials computed on the worker pool — the same sum,
+    /// bit for bit, as a serial left-to-right loop over the segments.
+    fn sum_segments(&self, part: impl Fn(usize) -> f64 + Sync) -> f64 {
+        const BATCH: usize = 512;
+        let mut parts = [0.0f64; BATCH];
+        let mut acc = 0.0;
+        let mut p0 = 0;
+        while p0 < self.nproc {
+            let nb = BATCH.min(self.nproc - p0);
+            let work = 2 * self.nrows * (self.col_offsets[p0 + nb] - self.col_offsets[p0]);
+            par::for_each_mut(par::width(), work, &mut parts[..nb], |j, out| {
+                *out = part(p0 + j);
+            });
+            for &x in &parts[..nb] {
+                acc += x;
+            }
+            p0 += nb;
+        }
+        acc
+    }
+
+    /// Global Frobenius inner product `⟨self, other⟩`: per-segment
+    /// partials on the worker pool, summed in segment order.
     ///
     /// Safe to call with `other` aliasing `self` (the per-segment mutexes
     /// are not reentrant, so the aliased case takes each lock once).
@@ -933,17 +1038,15 @@ impl DistMatrix {
         self.rec_barrier();
         other.rec_barrier();
         let aliased = std::ptr::eq(self, other);
-        let mut acc = 0.0;
-        for p in 0..self.nproc {
+        self.sum_segments(|p| {
             let a = self.segments[p].lock().unwrap();
             if aliased {
-                acc += a.iter().map(|x| x * x).sum::<f64>();
+                a.iter().map(|x| x * x).sum::<f64>()
             } else {
                 let b = other.segments[p].lock().unwrap();
-                acc += a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>();
+                a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>()
             }
-        }
-        acc
+        })
     }
 
     /// Global 2-norm.
@@ -951,40 +1054,46 @@ impl DistMatrix {
         self.dot(self).sqrt()
     }
 
-    /// `self += a · other`.
+    /// `self += a · other` (segment-parallel).
     pub fn axpy(&self, a: f64, other: &DistMatrix) {
+        self.zip_map(other, |x, y| x + a * y);
+    }
+
+    /// `self[i] = f(self[i], other[i])` for every element, one segment
+    /// per pool task (elementwise, so bitwise independent of the width).
+    pub fn zip_map(&self, other: &DistMatrix, f: impl Fn(f64, f64) -> f64 + Sync) {
         assert!(
             !std::ptr::eq(self, other),
-            "axpy operands must not alias (non-reentrant locks)"
+            "zip_map operands must not alias (non-reentrant locks)"
         );
         assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
         assert_eq!(self.nproc, other.nproc);
         self.rec_barrier();
         other.rec_barrier();
-        for p in 0..self.nproc {
+        self.for_each_segment(|p| {
             let mut x = self.segments[p].lock().unwrap();
             let y = other.segments[p].lock().unwrap();
-            for (xi, yi) in x.iter_mut().zip(y.iter()) {
-                *xi += a * yi;
+            for (xi, &yi) in x.iter_mut().zip(y.iter()) {
+                *xi = f(*xi, yi);
             }
-        }
+        });
         self.rec_barrier();
     }
 
-    /// `self *= a`.
+    /// `self *= a` (segment-parallel).
     pub fn scale(&self, a: f64) {
         self.rec_barrier();
-        for p in 0..self.nproc {
+        self.for_each_segment(|p| {
             self.segments[p]
                 .lock()
                 .unwrap()
                 .iter_mut()
                 .for_each(|x| *x *= a);
-        }
+        });
         self.rec_barrier();
     }
 
-    /// Copy `other` into `self`.
+    /// Copy `other` into `self` (segment-parallel).
     pub fn copy_from(&self, other: &DistMatrix) {
         assert!(
             !std::ptr::eq(self, other),
@@ -994,11 +1103,11 @@ impl DistMatrix {
         assert_eq!(self.nproc, other.nproc);
         self.rec_barrier();
         other.rec_barrier();
-        for p in 0..self.nproc {
+        self.for_each_segment(|p| {
             let mut x = self.segments[p].lock().unwrap();
             let y = other.segments[p].lock().unwrap();
             x.copy_from_slice(&y);
-        }
+        });
         self.rec_barrier();
     }
 
@@ -1076,36 +1185,71 @@ impl DistMatrix {
         self.rec_barrier();
     }
 
+    /// Update every column in place, `f(col, values)`, one segment per
+    /// pool task. For updates where each column depends only on itself;
+    /// [`DistMatrix::map_inplace`] serves stateful closures that rely on
+    /// its sequential order.
+    pub fn update_cols(&self, f: impl Fn(usize, &mut [f64]) + Sync) {
+        self.rec_barrier();
+        self.for_each_segment(|p| {
+            let mut seg = self.segments[p].lock().unwrap();
+            for (col, vals) in self.local_cols(p).zip(seg.chunks_mut(self.nrows.max(1))) {
+                f(col, vals);
+            }
+        });
+        self.rec_barrier();
+    }
+
     /// Distributed transpose: returns a new `ncols × nrows` matrix with the
     /// same processor count. Bytes for every element whose source and
     /// destination rank differ are charged to the *destination* rank's
     /// stats entry, modelling an all-to-all built from one-sided gets.
+    ///
+    /// The destination segments are filled on the worker pool, straight
+    /// from the (locked) source segments; the traffic per destination is
+    /// computed from the column distribution alone, and the
+    /// `ddi_transpose` events are emitted afterwards in rank order.
     pub fn transpose(&self, stats: &mut [CommStats]) -> DistMatrix {
         assert_eq!(stats.len(), self.nproc);
+        // Two barriers: the transpose as a collective, and its read of the
+        // whole source (recorded as separate steps since the protocol
+        // record was first defined).
+        self.rec_barrier();
         self.rec_barrier();
         let t = DistMatrix::zeros(self.ncols, self.nrows, self.nproc);
-        let dense = self.to_dense();
-        for (p, stat) in stats.iter_mut().enumerate() {
-            let mut remote = 0u64;
-            let mut sources = vec![false; self.nproc];
-            let cols = t.local_cols(p);
-            let mut seg = t.segments[p].lock().unwrap();
-            for (k, newcol) in cols.clone().enumerate() {
-                // New column `newcol` is old row `newcol`.
-                for oldcol in 0..self.ncols {
-                    seg[k * t.nrows + oldcol] = dense[newcol + oldcol * self.nrows];
-                    let o = self.owner(oldcol);
-                    if o != p {
-                        remote += 8;
-                        sources[o] = true;
+        {
+            let guards: Vec<_> = self.segments.iter().map(|s| s.lock().unwrap()).collect();
+            let src: Vec<&[f64]> = guards.iter().map(|g| g.as_slice()).collect();
+            t.for_each_segment(|p| {
+                let newcols = t.local_cols(p);
+                let mut seg = t.segments[p].lock().unwrap();
+                for (o, part) in src.iter().enumerate() {
+                    for (j, oldcol) in self.local_cols(o).enumerate() {
+                        // New column `newcol` is old row `newcol`.
+                        let from = &part[j * self.nrows + newcols.start..][..newcols.len()];
+                        for (k, &v) in from.iter().enumerate() {
+                            seg[k * t.nrows + oldcol] = v;
+                        }
                     }
                 }
-            }
+            });
+        }
+        let nonempty = (0..self.nproc)
+            .filter(|&o| !self.local_cols(o).is_empty())
+            .count() as u64;
+        for (p, stat) in stats.iter_mut().enumerate() {
+            let nloc = t.local_cols(p).len() as u64;
+            let own = self.local_cols(p).len() as u64;
+            let remote = 8 * nloc * (self.ncols as u64 - own);
             stat.get_bytes += remote;
             // One strided SHMEM_GET per remote source rank (the X1's
             // vector gather hardware makes strided remote reads a single
             // operation, so we do not charge per-element latency).
-            let msgs = sources.iter().filter(|&&b| b).count() as u64;
+            let msgs = if nloc == 0 {
+                0
+            } else {
+                nonempty - u64::from(own > 0)
+            };
             stat.get_msgs += msgs;
             if let Some(tr) = self.tracer.get() {
                 tr.instant(
@@ -1203,6 +1347,75 @@ mod tests {
         assert_eq!(b.to_dense(), a.to_dense());
         b.fill_zero();
         assert_eq!(b.norm(), 0.0);
+    }
+
+    #[test]
+    fn pooled_vector_algebra_matches_serial_bitwise_at_every_width() {
+        // 1000×1000 over 37 ranks: every operation clears the worker
+        // pool's work gate, so widths 2 and 4 really split the segments.
+        let (nr, nc, p) = (1000, 1000, 37);
+        let fill = |k: usize| -> Vec<f64> {
+            (0..nr * nc)
+                .map(|i| (((i * 7919 + k) % 1013) as f64 / 1013.0 - 0.5) * (1.0 + k as f64))
+                .collect()
+        };
+        let (da, db) = (fill(1), fill(2));
+        let a = DistMatrix::from_dense(nr, nc, p, &da);
+        // Serial definitions: per-segment partials summed in rank order.
+        let mut dot_ref = 0.0;
+        for r in 0..p {
+            let cols = a.local_cols(r);
+            let (lo, hi) = (cols.start * nr, cols.end * nr);
+            dot_ref += da[lo..hi]
+                .iter()
+                .zip(&db[lo..hi])
+                .map(|(x, y)| x * y)
+                .sum::<f64>();
+        }
+        let axpy_ref: Vec<f64> = da.iter().zip(&db).map(|(x, y)| x + 0.75 * y).collect();
+        for w in [1usize, 2, 4] {
+            par::with_width(w, || {
+                let a = DistMatrix::from_dense(nr, nc, p, &da);
+                let b = DistMatrix::from_dense(nr, nc, p, &db);
+                assert_eq!(a.dot(&b).to_bits(), dot_ref.to_bits(), "dot w={w}");
+                a.axpy(0.75, &b);
+                assert_eq!(a.to_dense(), axpy_ref, "axpy w={w}");
+                a.scale(-2.0);
+                a.copy_from(&b);
+                assert_eq!(a.to_dense(), db, "copy_from w={w}");
+                a.update_cols(|c, vals| {
+                    for (r, v) in vals.iter_mut().enumerate() {
+                        *v += (r * nc + c) as f64;
+                    }
+                });
+                let mapped: Vec<f64> = (0..nr * nc)
+                    .map(|i| db[i] + ((i % nr) * nc + i / nr) as f64)
+                    .collect();
+                assert_eq!(a.to_dense(), mapped, "update_cols w={w}");
+                let mut st = vec![CommStats::default(); p];
+                let t = b.transpose(&mut st);
+                let td = t.to_dense();
+                assert!((0..nr * nc).all(|i| td[(i % nr) * nc + i / nr] == db[i]));
+                // Traffic straight from the definition: every element
+                // whose source owner differs from its destination rank.
+                for (r, s) in st.iter().enumerate() {
+                    let mut bytes = 0u64;
+                    let mut sources = vec![false; p];
+                    for _newcol in t.local_cols(r) {
+                        for oldcol in 0..nc {
+                            let o = b.owner(oldcol);
+                            if o != r {
+                                bytes += 8;
+                                sources[o] = true;
+                            }
+                        }
+                    }
+                    assert_eq!(s.get_bytes, bytes, "transpose bytes w={w} r={r}");
+                    let msgs = sources.iter().filter(|&&x| x).count() as u64;
+                    assert_eq!(s.get_msgs, msgs, "transpose msgs w={w} r={r}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::dist::DistMatrix;
 use crate::record::{AccessRecorder, DdiAccess};
 use crate::stats::CommStats;
 use fci_fault::FaultPlan;
+use fci_linalg::par;
 use fci_obs::{Category, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -12,9 +13,15 @@ use std::sync::{Arc, OnceLock};
 /// How the per-rank closures are executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Run ranks one after another on the calling thread. Deterministic;
-    /// valid for the FCI σ phases because they only read shared inputs and
-    /// accumulate into shared outputs (both order-insensitive).
+    /// Deterministic simulation of the whole machine in one process.
+    /// [`Ddi::run`] runs ranks one after another on the calling thread;
+    /// owner-computes phases ([`Ddi::run_owner_computes`]) run contiguous
+    /// rank chunks on the process-wide worker pool
+    /// ([`fci_linalg::par`]), and the σ driver computes its dynamically
+    /// scheduled tasks there too, committing their accumulates and clock
+    /// charges on the caller in the simulated schedule's order. Results,
+    /// simulated clocks and communication statistics are bitwise
+    /// identical to a one-thread run at every pool width.
     Serial,
     /// Run every rank on its own OS thread (std scoped threads).
     /// Exercises the real locking protocol; results are bitwise-reproducible
@@ -156,6 +163,40 @@ impl Ddi {
         let t = self.nxtval(stats);
         self.rec(DdiAccess::Nxtval { rank, value: t });
         t
+    }
+
+    /// Width of worker-pool calls made on behalf of this world's ranks:
+    /// the pool's default width, or 1 when a protocol recorder is
+    /// attached (rank-parallel execution would interleave the recorded
+    /// protocol steps of different ranks).
+    pub fn pool_width(&self) -> usize {
+        if self.recorder.get().is_some() {
+            1
+        } else {
+            par::width()
+        }
+    }
+
+    /// Execute an **owner-computes** phase: `f(rank, &mut stats)` once per
+    /// rank, where each rank only reads shared inputs and writes data it
+    /// owns (its own segments, its own statistics) — no remote
+    /// accumulate, no task counter. Such ranks commute exactly, so under
+    /// [`Backend::Serial`] contiguous rank chunks run on the worker pool
+    /// ([`Ddi::pool_width`] wide; `work` is the phase's work estimate for
+    /// the pool's inline gate) with results identical to rank order.
+    /// [`Backend::Threads`] runs it like [`Ddi::run`].
+    pub fn run_owner_computes<F>(&self, work: usize, f: F) -> Vec<CommStats>
+    where
+        F: Fn(usize, &mut CommStats) + Sync,
+    {
+        if self.backend == Backend::Threads {
+            return self.run(f);
+        }
+        self.rec(DdiAccess::Barrier);
+        let mut all = vec![CommStats::default(); self.nproc];
+        par::for_each_mut(self.pool_width(), work, &mut all, |rank, st| f(rank, st));
+        self.rec(DdiAccess::Barrier);
+        all
     }
 
     /// Execute `f(rank, &mut stats)` once per rank and return the per-rank

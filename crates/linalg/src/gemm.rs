@@ -14,10 +14,12 @@
 //! * an `MR×NR = 8×4` register microkernel does the flops with no bounds
 //!   checks in the inner loop, shaped so the autovectorizer turns each
 //!   row update into one 4-wide FMA,
-//! * the macro kernel is parallelized over C tiles with std scoped
-//!   threads: op(B) is packed once and shared read-only, each worker
-//!   packs its own A blocks, and every C tile is owned by exactly one
-//!   work item.
+//! * the macro kernel is parallelized over C tiles on the process-wide
+//!   worker pool ([`crate::par`]): op(B) is packed once and shared
+//!   read-only, each pool chunk packs its own A blocks, and every C tile
+//!   is owned by exactly one work item. Products below
+//!   [`par::PAR_MIN_WORK`] flops, and products issued from inside
+//!   another pool call (a σ rank or task), run on the calling thread.
 //!
 //! **Determinism:** the result is bitwise identical at any thread count.
 //! A C tile accumulates its `KC` blocks in ascending `l0` order inside a
@@ -53,7 +55,7 @@
 
 use crate::arena;
 use crate::matrix::Matrix;
-use std::sync::OnceLock;
+use crate::par;
 
 /// Transpose flag for [`dgemm`] operands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,11 +84,6 @@ const NC: usize = 512;
 /// threshold sits at the midpoint 52³ (see DESIGN.md §11).
 const SMALL_FLOPS: usize = 2 * 52 * 52 * 52;
 
-/// Do not spawn worker threads unless the multiply has at least this
-/// many flops (thread startup ≈ tens of µs; 2·96³ ≈ 1.8 Mflop runs in
-/// that same range single-threaded, so smaller problems stay serial).
-const PAR_MIN_FLOPS: usize = 2 * 96 * 96 * 96;
-
 /// Kernel-path override, used by the autotune/sweep benches to measure
 /// each path in isolation. Production code uses [`GemmPath::Auto`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,23 +98,6 @@ pub enum GemmPath {
     /// accumulation in f64. Serial, bench-only — never chosen by `Auto`
     /// (see module docs); `gemm_sweep` measures it against `Packed`.
     PackedF32,
-}
-
-/// Default GEMM worker-thread count: `FCIX_GEMM_THREADS` if set (≥1),
-/// otherwise the host's available parallelism. Resolved once.
-pub fn gemm_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("FCIX_GEMM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
 }
 
 /// Reference implementation: straightforward triple loop.
@@ -175,7 +155,7 @@ fn check_dims(
 }
 
 /// Blocked matrix multiply `C := alpha * op(A) * op(B) + beta * C`,
-/// using the default worker-thread count ([`gemm_threads`]).
+/// on the default pool width ([`par::width`]).
 pub fn dgemm(
     transa: Trans,
     transb: Trans,
@@ -185,14 +165,15 @@ pub fn dgemm(
     beta: f64,
     c: &mut Matrix,
 ) {
-    dgemm_with_threads(gemm_threads(), transa, transb, alpha, a, b, beta, c);
+    dgemm_with_threads(par::width(), transa, transb, alpha, a, b, beta, c);
 }
 
 /// [`dgemm`] with an explicit worker-thread count.
 ///
 /// The result is bitwise identical for every `nthreads ≥ 1` (see the
-/// module docs for the argument); `nthreads` only bounds how many std
-/// scoped threads the macro kernel may use.
+/// module docs for the argument); `nthreads` sets how many shares the
+/// macro kernel is cut into and bounds how many pool participants run
+/// them.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_with_threads(
     nthreads: usize,
@@ -348,7 +329,7 @@ fn small_dgemm(
 // Packed blocked path (Goto/BLIS five-loop structure, threaded).
 // ---------------------------------------------------------------------
 
-/// Raw-pointer view of the C buffer shared by worker threads.
+/// Raw-pointer view of the C buffer shared by the pool chunks.
 ///
 /// Every work item owns a disjoint set of C tiles (a row block × a
 /// column chunk), so no element is ever written by two threads; debug
@@ -390,13 +371,22 @@ struct WorkItem {
     q_hi: usize,
 }
 
-/// Work-item partition for the threaded macro kernel: MC row blocks ×
-/// column chunks of B panels. Shared by the on-the-fly and prepacked
-/// paths so both produce identical tile ownership — and therefore an
-/// identical per-tile summation order (the bitwise-equality contract
-/// between [`dgemm`] and [`dgemm_prepacked`]).
+/// Work-item partition for the parallel macro kernel: row blocks ×
+/// column chunks of B panels, dealt to `nt` pool chunks as contiguous
+/// runs of items. Shared by the on-the-fly and prepacked paths so both
+/// produce identical tile ownership — and therefore an identical
+/// per-tile summation order (the bitwise-equality contract between
+/// [`dgemm`] and [`dgemm_prepacked`]).
+///
+/// Row blocks are `MR`-aligned and as equal as `MR` allows (at most `MC`
+/// rows each), and column chunks split the B panels as evenly as
+/// possible, so every item covers nearly the same C-tile area and every
+/// chunk's share is within one item of `1/nt` of the product. Any
+/// `MR`/`NR`-aligned partition leaves each microtile's arithmetic — and
+/// hence the result — unchanged (see module docs).
 struct Plan {
     mblocks: usize,
+    rows_per_block: usize,
     npanels: usize,
     nchunks: usize,
     nitems: usize,
@@ -404,22 +394,21 @@ struct Plan {
 }
 
 fn plan(m: usize, n: usize, k: usize, nthreads: usize) -> Plan {
-    // The base chunking follows NC; when that yields fewer items than
-    // threads, chunks are split further (per-tile arithmetic — and hence
-    // the result — is independent of the partition; see module docs).
     let npanels = n.div_ceil(NR);
-    let mblocks = m.div_ceil(MC);
+    let mblocks = m.div_ceil(MC).max(1);
+    let rows_per_block = m.div_ceil(mblocks).div_ceil(MR) * MR;
     let nthreads = nthreads.max(1);
-    let par = nthreads > 1 && 2 * m * n * k >= PAR_MIN_FLOPS;
-    let target_items = if par { nthreads } else { 1 };
+    let parallel = nthreads > 1 && 2 * m * n * k >= par::PAR_MIN_WORK;
+    let target_items = if parallel { nthreads } else { 1 };
     let mut nchunks = n.div_ceil(NC);
     if mblocks * nchunks < target_items {
         nchunks = npanels.min(target_items.div_ceil(mblocks));
     }
     let nitems = mblocks * nchunks;
-    let nt = if par { nthreads.min(nitems) } else { 1 };
+    let nt = if parallel { nthreads.min(nitems) } else { 1 };
     Plan {
         mblocks,
+        rows_per_block,
         npanels,
         nchunks,
         nitems,
@@ -429,18 +418,24 @@ fn plan(m: usize, n: usize, k: usize, nthreads: usize) -> Plan {
 
 impl Plan {
     /// Work item `idx`: row block `idx % mblocks` of column chunk
-    /// `idx / mblocks`. Chunk boundaries round-robin the B panels
-    /// evenly; a chunk can be empty only when `nchunks > npanels`.
+    /// `idx / mblocks`. Chunk boundaries spread the B panels evenly; a
+    /// chunk can be empty only when `nchunks > npanels`.
     fn item(&self, idx: usize, m: usize) -> WorkItem {
         let ci = idx / self.mblocks;
         let ib = idx % self.mblocks;
-        let i0 = ib * MC;
+        let i0 = ib * self.rows_per_block;
         WorkItem {
             i0,
-            mc: MC.min(m - i0),
+            mc: self.rows_per_block.min(m - i0),
             q_lo: ci * self.npanels / self.nchunks,
             q_hi: (ci + 1) * self.npanels / self.nchunks,
         }
+    }
+
+    /// The items pool chunk `t` (of `nt`) runs: a contiguous run whose
+    /// length differs from every other chunk's by at most one.
+    fn share(&self, t: usize) -> std::ops::Range<usize> {
+        t * self.nitems / self.nt..(t + 1) * self.nitems / self.nt
     }
 }
 
@@ -474,47 +469,20 @@ fn packed_dgemm(
     };
 
     // Work items are enumerated by index (never materialized, so this
-    // path stays allocation-free).
+    // path stays allocation-free); each pool chunk runs one share.
     let pl = plan(m, n, k, nthreads);
-    if pl.nt <= 1 {
+    let share = |t: usize| {
+        // Per-chunk A packing buffer from the shared scratch pool.
         let mut aguard = arena::acquire(MC * KC);
-        for idx in 0..pl.nitems {
+        let apack = aguard.as_mut_slice();
+        for idx in pl.share(t) {
             let it = pl.item(idx, m);
             if it.q_lo < it.q_hi {
-                run_item(
-                    transa,
-                    a,
-                    alpha,
-                    bpack,
-                    k,
-                    n,
-                    cout,
-                    cm,
-                    it,
-                    aguard.as_mut_slice(),
-                );
+                run_item(transa, a, alpha, bpack, k, n, cout, cm, it, apack);
             }
         }
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..pl.nt {
-                let pl = &pl;
-                scope.spawn(move || {
-                    // Per-thread A packing buffer from the shared pool.
-                    let mut aguard = arena::acquire(MC * KC);
-                    let apack = aguard.as_mut_slice();
-                    let mut idx = t;
-                    while idx < pl.nitems {
-                        let it = pl.item(idx, m);
-                        if it.q_lo < it.q_hi {
-                            run_item(transa, a, alpha, bpack, k, n, cout, cm, it, apack);
-                        }
-                        idx += pl.nt;
-                    }
-                });
-            }
-        });
-    }
+    };
+    par::run_chunks(pl.nt, 2 * m * n * k, pl.nt, &share);
 }
 
 /// Macro kernel for one work item: loop KC blocks in ascending `l0`,
@@ -799,30 +767,15 @@ pub fn dgemm_prepacked(
     };
 
     let pl = plan(m, n, k, nthreads);
-    if pl.nt <= 1 {
-        for idx in 0..pl.nitems {
+    let share = |t: usize| {
+        for idx in pl.share(t) {
             let it = pl.item(idx, m);
             if it.q_lo < it.q_hi {
                 run_item_prepacked(pa, alpha, bpack, k, n, cout, cm, it);
             }
         }
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..pl.nt {
-                let pl = &pl;
-                scope.spawn(move || {
-                    let mut idx = t;
-                    while idx < pl.nitems {
-                        let it = pl.item(idx, m);
-                        if it.q_lo < it.q_hi {
-                            run_item_prepacked(pa, alpha, bpack, k, n, cout, cm, it);
-                        }
-                        idx += pl.nt;
-                    }
-                });
-            }
-        });
-    }
+    };
+    par::run_chunks(pl.nt, 2 * m * n * k, pl.nt, &share);
 
     if let Some(t0) = timer {
         crate::probe::emit(m, n, k, t0.elapsed().as_secs_f64());
@@ -1397,6 +1350,64 @@ mod tests {
         dgemm_prepacked(1, 0.0, &pa, Trans::Yes, &bt, -3.0, &mut c);
         let expect = Matrix::from_fn(70, 30, |i, j| -3.0 * c0[(i, j)]);
         assert_eq!(c, expect);
+    }
+
+    #[test]
+    fn plan_balances_tile_area_across_chunks() {
+        // Every pool chunk's share of the C-tile area is within one
+        // item of 1/nt, the items tile C exactly once, and row blocks
+        // stay MR-aligned (so the per-microtile arithmetic is unchanged).
+        // 208×560 is the dominant mixed-spin σ product of the C2 run; the
+        // old round-robin deal gave its two threads 128 vs 80 rows.
+        for &(m, n) in &[
+            (208usize, 560usize),
+            (208, 208),
+            (512, 512),
+            (130, 37),
+            (129, 5),
+            (1000, 9),
+            (8, 4000),
+            (300, 1),
+        ] {
+            for nt in [1usize, 2, 3, 4, 8] {
+                let k = 256;
+                let pl = plan(m, n, k, nt);
+                let area = |idx: usize| {
+                    let it = pl.item(idx, m);
+                    it.mc * (it.q_hi.min(pl.npanels) - it.q_lo) * NR
+                };
+                let mut covered = vec![0u8; m * pl.npanels];
+                for idx in 0..pl.nitems {
+                    let it = pl.item(idx, m);
+                    assert_eq!(it.i0 % MR, 0, "m={m} n={n} nt={nt}");
+                    assert!(it.mc <= MC);
+                    for i in it.i0..it.i0 + it.mc {
+                        for q in it.q_lo..it.q_hi {
+                            covered[i * pl.npanels + q] += 1;
+                        }
+                    }
+                }
+                assert!(covered.iter().all(|&c| c == 1), "m={m} n={n} nt={nt}");
+                let total: usize = (0..pl.nitems).map(area).sum();
+                let biggest = (0..pl.nitems).map(area).max().unwrap_or(0);
+                let shares: Vec<usize> = (0..pl.nt)
+                    .map(|t| pl.share(t).map(area).sum::<usize>())
+                    .collect();
+                assert_eq!(shares.iter().sum::<usize>(), total);
+                for &s in &shares {
+                    let ideal = total as f64 / pl.nt as f64;
+                    assert!(
+                        (s as f64 - ideal).abs() <= biggest as f64,
+                        "m={m} n={n} nt={nt}: shares {shares:?}"
+                    );
+                }
+            }
+        }
+        // The σ shape splits exactly in half on two workers.
+        let pl = plan(208, 560, 208, 2);
+        assert_eq!(pl.nt, 2);
+        let rows: Vec<usize> = (0..pl.mblocks).map(|b| pl.item(b, 208).mc).collect();
+        assert_eq!(rows, vec![104, 104]);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   unrolled register microkernel, plus a [`dgemm_naive`] reference and
 //!   a persistent packed-operand form ([`PackedA`] / [`dgemm_prepacked`])
 //!   for operands reused across many products,
+//! * [`par`] — the one process-wide deterministic worker pool every
+//!   parallel loop of the dense stack runs on,
 //! * level-1 kernels ([`daxpy`], [`ddot`], [`dnrm2`], [`dscal`]),
 //! * a two-stage symmetric eigensolver ([`eigh`]): cyclic Jacobi below
 //!   [`EIGH_JACOBI_CUTOFF`], blocked Householder tridiagonalization +
@@ -37,6 +39,7 @@ pub mod cholqr;
 pub mod eigen;
 pub mod gemm;
 pub mod matrix;
+pub mod par;
 pub mod probe;
 pub mod solve;
 pub mod tridiag;
@@ -46,7 +49,7 @@ pub use cholqr::{cholesky_lower, cholqr2, trsm_right_ltrans, CholError};
 pub use eigen::{eigh, eigh_2x2, eigh_jacobi, Eigh, EIGH_JACOBI_CUTOFF};
 pub use gemm::{
     dgemm, dgemm_naive, dgemm_path, dgemm_prepacked, dgemm_with_threads, gemm_prefers_packed,
-    gemm_threads, GemmPath, PackedA, Trans,
+    GemmPath, PackedA, Trans,
 };
 pub use matrix::Matrix;
 pub use solve::{lu_factor, lu_solve, LuError};

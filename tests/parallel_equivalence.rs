@@ -3,12 +3,13 @@
 //! pool shape — only the simulated cost may change.
 
 use fcix::core::{
-    apply_sigma, random_hamiltonian, solve, DetSpace, DiagMethod, DiagOptions, FciOptions,
-    PoolParams, SigmaCtx, SigmaMethod,
+    apply_sigma, random_hamiltonian, solve, solve_prepared, solve_resilient_prepared, DetSpace,
+    DiagMethod, DiagOptions, FciOptions, FciResult, PoolParams, RecoveryOptions, SigmaCtx,
+    SigmaMethod,
 };
-use fcix::ddi::{Backend, Ddi};
+use fcix::ddi::{Backend, CommStats, Ddi, FaultConfig};
 use fcix::ints::EriTensor;
-use fcix::linalg::Matrix;
+use fcix::linalg::{par, Matrix};
 use fcix::scf::MoIntegrals;
 use fcix::xsim::MachineModel;
 
@@ -197,4 +198,219 @@ fn communication_accounting_dgemm_vs_moc() {
     // Table 1: MOC mixed-spin communication exceeds DGEMM's by ~(n−Nα)·2/3.
     let ratio = bd_m.alpha_beta.total_net_bytes() / bd_d.alpha_beta.total_net_bytes();
     assert!(ratio > 2.0, "comm ratio {ratio}");
+}
+
+/// Everything the worker-pool width must not change: the energy, the CI
+/// vector, the iteration count, and every σ phase's per-rank simulated
+/// clock — whose counters carry each rank's `CommStats` (bytes,
+/// messages, lock acquisitions, counter operations, retries).
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    energy: u64,
+    iterations: usize,
+    civec: Vec<u64>,
+    clocks: Vec<[u64; 13]>,
+}
+
+fn fingerprint(r: &FciResult) -> Fingerprint {
+    let bd = &r.sigma_cost;
+    let clocks = [
+        &bd.beta_beta,
+        &bd.alpha_alpha,
+        &bd.alpha_beta,
+        &bd.transpose,
+    ]
+    .into_iter()
+    .flat_map(|rep| rep.clocks.iter())
+    .map(|k| {
+        [
+            k.t_dgemm,
+            k.t_daxpy,
+            k.t_gather,
+            k.t_net,
+            k.t_lock,
+            k.t_io,
+            k.flops_dgemm,
+            k.flops_daxpy,
+            k.net_bytes,
+            k.net_msgs,
+            k.lock_acquires,
+            k.nxtval_msgs,
+            k.retries,
+        ]
+        .map(f64::to_bits)
+    })
+    .collect();
+    Fingerprint {
+        energy: r.energy.to_bits(),
+        iterations: r.iterations,
+        civec: r.diag.c.to_dense().into_iter().map(f64::to_bits).collect(),
+        clocks,
+    }
+}
+
+/// A random Hamiltonian restricted to D2h selection rules: orbital `p`
+/// carries irrep `p mod 8`, and only totally symmetric integrals survive.
+fn d2h_mo(n: usize, seed: u64) -> MoIntegrals {
+    let ham = random_hamiltonian(n, seed);
+    let sym: Vec<u8> = (0..n).map(|p| (p % 8) as u8).collect();
+    let mut h = ham.h.clone();
+    let mut eri = EriTensor::zeros(n);
+    for p in 0..n {
+        for q in 0..n {
+            if sym[p] != sym[q] {
+                h[(p, q)] = 0.0;
+            }
+            for r in 0..n {
+                for s in 0..n {
+                    if sym[p] ^ sym[q] ^ sym[r] ^ sym[s] == 0 {
+                        eri.set(p, q, r, s, ham.eri.get(p, q, r, s));
+                    }
+                }
+            }
+        }
+    }
+    MoIntegrals {
+        n_orb: n,
+        h,
+        eri,
+        e_core: 0.0,
+        orb_sym: sym,
+        n_irrep: 8,
+    }
+}
+
+/// Run `f` at pool widths 1, 2 and 4 and require bitwise-equal results.
+fn same_at_every_width(case: &str, f: impl Fn() -> FciResult) {
+    let reference = par::with_width(1, || fingerprint(&f()));
+    assert!(reference.iterations > 1, "{case}: too short to be a test");
+    for width in [2usize, 4] {
+        let got = par::with_width(width, || fingerprint(&f()));
+        assert!(got == reference, "{case}: width {width} changed the result");
+    }
+}
+
+#[test]
+fn results_are_bitwise_invariant_across_pool_widths() {
+    let opts = |nproc: usize, sigma: SigmaMethod| FciOptions {
+        nproc,
+        sigma,
+        method: DiagMethod::AutoAdjust,
+        diag: DiagOptions {
+            max_iter: 12,
+            tol: 1e-10,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let dense = |n: usize, na: usize, nb: usize, nproc: usize, seed: u64| {
+        let ham = random_hamiltonian(n, seed);
+        let space = DetSpace::c1(n, na, nb);
+        move || solve_prepared(&space, &ham, &opts(nproc, SigmaMethod::Dgemm))
+    };
+    same_at_every_width("C1 4a4b p=64", dense(8, 4, 4, 64, 1));
+    same_at_every_width("4a3b p=37", dense(8, 4, 3, 37, 2));
+    same_at_every_width("more ranks than columns", dense(6, 3, 2, 40, 3));
+    let mo = d2h_mo(8, 4);
+    same_at_every_width("D2h irrep 5", || {
+        solve(&mo, 3, 3, 5, &opts(24, SigmaMethod::Dgemm))
+    });
+    let mo_c1 = {
+        let mut mo = d2h_mo(8, 5);
+        mo.orb_sym = vec![0; 8];
+        mo.n_irrep = 1;
+        mo
+    };
+    same_at_every_width("CISD 4a4b", || {
+        let o = FciOptions {
+            excitation_level: Some(2),
+            ..opts(16, SigmaMethod::Dgemm)
+        };
+        solve(&mo_c1, 4, 4, 0, &o)
+    });
+    same_at_every_width("MOC sigma", dense_moc(7, 3, 3, 5, 6));
+    same_at_every_width("fault plan", || {
+        let ham = random_hamiltonian(8, 7);
+        let space = DetSpace::c1(8, 4, 3);
+        let o = FciOptions {
+            fault: Some(FaultConfig {
+                seed: 9,
+                p_drop: 0.05,
+                p_corrupt: 0.05,
+                p_duplicate: 0.05,
+                p_poison: 0.2,
+                ..FaultConfig::default()
+            }),
+            ..opts(12, SigmaMethod::Dgemm)
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "fcix-width-{}-{}",
+            std::process::id(),
+            par::width()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = RecoveryOptions::for_job(&dir, "width", 1);
+        let r = solve_resilient_prepared(&space, &ham, &o, &rec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            r.fault_stats.recomputes > 0,
+            "no poisoned task was recomputed"
+        );
+        r.fci
+    });
+}
+
+fn dense_moc(n: usize, na: usize, nb: usize, nproc: usize, seed: u64) -> impl Fn() -> FciResult {
+    let ham = random_hamiltonian(n, seed);
+    let space = DetSpace::c1(n, na, nb);
+    move || {
+        let o = FciOptions {
+            nproc,
+            sigma: SigmaMethod::Moc,
+            method: DiagMethod::AutoAdjust,
+            diag: DiagOptions {
+                max_iter: 12,
+                tol: 1e-10,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        solve_prepared(&space, &ham, &o)
+    }
+}
+
+#[test]
+fn sigma_phases_and_transposes_are_width_invariant() {
+    // σ itself, phase by phase, plus the transpose statistics, on a
+    // problem whose phases clear every pool gate.
+    let ham = random_hamiltonian(9, 8);
+    let space = DetSpace::c1(9, 4, 4);
+    let model = MachineModel::cray_x1();
+    let run = |width: usize| {
+        par::with_width(width, || {
+            let ddi = Ddi::new(19, Backend::Serial);
+            let ctx = SigmaCtx {
+                space: &space,
+                ham: &ham,
+                ddi: &ddi,
+                model: &model,
+                pool: PoolParams::default(),
+            };
+            let c = space.guess(&ham, 19);
+            let (s1, _) = apply_sigma(&ctx, &c, SigmaMethod::Dgemm);
+            let (s2, bd) = apply_sigma(&ctx, &s1, SigmaMethod::Dgemm);
+            let mut st = vec![CommStats::default(); 19];
+            let t = s2.transpose(&mut st);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let clocks: Vec<String> = [bd.beta_beta, bd.alpha_alpha, bd.alpha_beta, bd.transpose]
+                .iter()
+                .map(|r| format!("{:?}", r.clocks))
+                .collect();
+            (bits(s2.to_dense()), bits(t.to_dense()), st, clocks)
+        })
+    };
+    let reference = run(1);
+    for width in [2usize, 4] {
+        assert!(run(width) == reference, "width {width} changed σ");
+    }
 }
